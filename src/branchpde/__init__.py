@@ -3,10 +3,11 @@ branching trees driven by subordinated Brownian motion."""
 
 from .bernstein import (BetaRatio, LaplaceExponent, LogCorrected, Relativistic,
                         ScaledStable, Stable, StableWithDrift, SumOfStables,
-                        check_integrability_cd, eval_eta, integrability_table,
+                        check_integrability_cd, integrability_table,
                         neg_moment_numeric, neg_moment_stable)
 from .engine import (EstimatorResult, TreeBudget, TreeOutcome, estimate,
-                     estimate_gradient_all, grow_tree)
+                     estimate_gradient_all, grow_tree,
+                     sample_subordinated_increment)
 from .errors import (AccuracyError, AdmissibilityError, BranchPdeError,
                      BudgetExceededError, ConfigError,
                      DegenerateDerivativeError, DimensionError,
@@ -20,9 +21,8 @@ from .expressions import eval_expression, parse_expression, to_source
 from .model import (BranchingLaw, LifetimeDensity, PdeModel,
                     PolynomialNonlinearity, TerminalCondition, builtin_model,
                     uniform_branching)
-from .sampling import (RngStream, SubordinatedIncrement, sample_lifetime,
-                       sample_offspring, sample_stable_subordinator,
-                       sample_subordinated_increment)
+from .sampling import (RngStream, sample_lifetime, sample_offspring,
+                       sample_stable_subordinator)
 from .specfun import (EvalPolicy, gamma_fn, hyp2f1, phi_bump, psi_getoor,
                       upper_reg_gamma)
 

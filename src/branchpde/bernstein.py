@@ -163,11 +163,6 @@ class LogCorrected(LaplaceExponent):
         return np.where(lam == 0.0, 0.0, out)
 
 
-def eval_eta(eta: LaplaceExponent, lam) -> float:
-    """Evaluate a Laplace exponent at lambda >= 0 (scalar or array)."""
-    return eta(lam)
-
-
 @dataclass(frozen=True)
 class IntegrabilityVerdict:
     """Outcome of the tail test for integral of 1/(eta sqrt(lambda))."""
@@ -271,24 +266,17 @@ def neg_moment_stable(p: float, alpha: float, t: float) -> float:
             / (alpha * t ** (2.0 * p / alpha) * gamma_fn(p)))
 
 
-def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
-                       rel_tol: float = 1e-10) -> float:
-    """E[S_t^(-p)] = (1/Gamma(p)) int_0^inf exp(-t eta(l)) l^(p-1) dl by quadrature.
+def laplace_power_integral(eta: LaplaceExponent, t: float, q: float,
+                           rel_tol: float) -> float:
+    """int_0^inf exp(-t eta(l)) l^(q-1) dl by split quadrature.
 
-    Splits at the scale where t eta = 1 and integrates the tail in log space;
-    raises DivergenceError if the integrand does not decay on the grid.
+    Bisects (geometrically, on [1e-12, 1e14]) for the scale where t eta = 1,
+    integrates the head directly and the tail over 80 e-folds in log space.
     """
-    if p <= 0.0 or t <= 0.0:
-        raise DomainError("neg_moment_numeric requires p > 0 and t > 0")
-    probe = eta(np.geomspace(1e3, 1e12, 10))
-    if t * probe[-1] < 50.0 or np.any(np.diff(probe) < 0.0):
-        raise DivergenceError("integrand tail does not decay: eta grows too slowly")
-
     def integrand(lam):
-        return math.exp(-t * float(eta(lam))) * lam ** (p - 1.0)
+        return math.exp(-t * float(eta(lam))) * lam ** (q - 1.0)
 
-    # scale where the exponential starts to bite
-    lo, hi = 1e-12, 1e12
+    lo, hi = 1e-12, 1e14
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if t * float(eta(mid)) < 1.0:
@@ -301,5 +289,20 @@ def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
                               epsabs=0.0, epsrel=rel_tol, limit=400)
     tail, _ = _integrate.quad(lambda u: integrand(lam_star * math.exp(u))
                               * lam_star * math.exp(u),
-                              0.0, 60.0, epsabs=1e-300, epsrel=rel_tol, limit=400)
-    return (head + tail) / gamma_fn(p)
+                              0.0, 80.0, epsabs=1e-300, epsrel=rel_tol, limit=400)
+    return head + tail
+
+
+def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
+                       rel_tol: float = 1e-10) -> float:
+    """E[S_t^(-p)] = (1/Gamma(p)) int_0^inf exp(-t eta(l)) l^(p-1) dl by quadrature.
+
+    Raises DivergenceError if eta does not grow on a probe grid fast enough
+    for the integrand to decay.
+    """
+    if p <= 0.0 or t <= 0.0:
+        raise DomainError("neg_moment_numeric requires p > 0 and t > 0")
+    probe = eta(np.geomspace(1e3, 1e12, 10))
+    if t * probe[-1] < 50.0 or np.any(np.diff(probe) < 0.0):
+        raise DivergenceError("integrand tail does not decay: eta grows too slowly")
+    return laplace_power_integral(eta, t, p, rel_tol) / gamma_fn(p)

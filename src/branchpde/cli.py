@@ -185,13 +185,13 @@ def _strict_gate(cfg: dict, model: PdeModel) -> bool:
 # Commands
 # --------------------------------------------------------------------------
 
-_EST_HEADER = ("mean", "stderr", "ci_lo", "ci_hi", "n", "truncated",
-               "mean_tree_size", "max_tree_size")
+_EST_HEADER = ("mean", "stderr", "ci_lo", "ci_hi", "n", "mean_tree_size",
+               "max_tree_size")
 
 
 def _estimate_row(res: EstimatorResult):
     return (res.mean, res.stderr, res.ci95[0], res.ci95[1], res.n_trees,
-            res.truncated_trees, res.mean_tree_size, res.max_tree_size)
+            res.mean_tree_size, res.max_tree_size)
 
 
 def cmd_estimate(cfg: dict) -> int:
@@ -239,12 +239,12 @@ def cmd_sweep(cfg: dict) -> int:
             point[0] = x1
             res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
                            workers=workers, budget=budget)
-            rows.append((float(x1),) + _estimate_row(res)[:6])
+            rows.append((float(x1),) + _estimate_row(res)[:5])
     except BudgetExceededError:
         if out is not None and os.path.exists(out):
             os.remove(out)
         raise
-    _write_csv(out, ("x1",) + _EST_HEADER[:6], rows)
+    _write_csv(out, ("x1",) + _EST_HEADER[:5], rows)
     return EXIT_OK
 
 

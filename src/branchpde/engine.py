@@ -34,7 +34,8 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateDerivativeError,
                      DomainError)
 from .model import PdeModel
-from .sampling import RngStream, sample_stable_subordinator
+from .sampling import (RngStream, sample_lifetime, sample_offspring,
+                       sample_stable_subordinator)
 
 BATCH_TREES = 25_000
 _MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
@@ -67,7 +68,6 @@ class EstimatorResult:
     stderr: float
     ci95: tuple
     n_trees: int
-    truncated_trees: int
     elapsed: float
     mean_tree_size: float
     max_tree_size: int
@@ -80,6 +80,35 @@ class _BatchStats:
     m2: float
     sum_particles: int
     max_particles: int
+
+
+def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
+                                  rng: RngStream, size=None):
+    """One move (ds, dx) of the subordinated Brownian motion over kappa*Delta_alpha.
+
+    ds = kappa^(2/alpha) dt^(2/alpha) S(alpha, 1), by the scale invariance of
+    the stable subordinator (deterministic 2*kappa*dt at alpha = 2), and
+    dx = sqrt(ds) N(0, I_d).  ``dt`` may be an array matching ``size``; with
+    ``size=None`` ds is a float and dx has shape (d,), else (size,) and
+    (size, d).  dx_theta / ds is the derivative weight W of mark theta.
+    """
+    if d < 1:
+        raise DomainError(f"dimension must be positive, got {d}")
+    if kappa <= 0.0:
+        raise DomainError(f"kappa must be positive, got {kappa}")
+    n = 1 if size is None else size
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt >= 0.0):
+        raise DomainError("dt must be non-negative")
+    if alpha == 2.0:
+        ds = 2.0 * kappa * np.broadcast_to(dt, n)
+    else:
+        unit = sample_stable_subordinator(alpha, 1.0, rng, size=n)
+        ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
+    dx = np.sqrt(ds)[:, None] * rng.gen.standard_normal((n, d))
+    if size is None:
+        return float(ds[0]), dx[0]
+    return ds, dx
 
 
 def _offspring_patterns(model: PdeModel):
@@ -102,15 +131,9 @@ def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
     (n_batch, d).  Raises BudgetExceededError if any tree outgrows the budget.
     """
     n = x.shape[0]
-    d = model.d
-    alpha = model.alpha
-    kappa = model.kappa
-    delta = model.lifetime.delta
     lifetime = model.lifetime
     nonlin = model.nonlinearity
     q_probs = np.asarray(model.branching.probs, dtype=float)
-    q_cum = np.cumsum(q_probs)
-    q_cum[-1] = 1.0
     patterns = _offspring_patterns(model)
     child_counts = np.array([p.size for p in patterns], dtype=np.int64)
 
@@ -134,17 +157,12 @@ def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
             raise BudgetExceededError(
                 "tree outgrew its budget; shrink T - t or raise the budget")
 
-        tau = rng.gen.gamma(delta, size=tree.size)
+        tau = sample_lifetime(lifetime.delta, rng, size=tree.size)
         death = birth + tau
         leaf = death >= T
-        dt_eff = np.where(leaf, T - birth, tau)
-
-        if alpha == 2.0:
-            ds = 2.0 * kappa * dt_eff
-        else:
-            unit = sample_stable_subordinator(alpha, 1.0, rng, size=tree.size)
-            ds = kappa ** (2.0 / alpha) * dt_eff ** (2.0 / alpha) * unit
-        dx = np.sqrt(ds)[:, None] * rng.gen.standard_normal((tree.size, d))
+        ds, dx = sample_subordinated_increment(
+            model.d, model.alpha, model.kappa, np.where(leaf, T - birth, tau),
+            rng, size=tree.size)
         new_pos = pos + dx
 
         w = np.ones(tree.size)
@@ -169,7 +187,7 @@ def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
         interior = ~leaf
         n_int = int(np.count_nonzero(interior))
         if n_int:
-            cat = np.searchsorted(q_cum, rng.gen.random(n_int), side="right")
+            cat = sample_offspring(model.branching, rng, size=n_int)
             idx_int = np.flatnonzero(interior)
             c_val = np.empty(n_int)
             for ci in range(len(patterns)):
@@ -252,6 +270,8 @@ def _validate_point(model, t, x, mark, T):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if xa.shape != (model.d,):
         raise DomainError(f"x must have shape ({model.d},), got {xa.shape}")
+    if not (np.isfinite(t) and np.isfinite(T) and np.all(np.isfinite(xa))):
+        raise DomainError(f"t, T and x must be finite, got t={t}, T={T}, x={xa}")
     if not 0 <= mark <= model.d:
         raise DomainError(f"mark must lie in 0..{model.d}, got {mark}")
     if t > T:
@@ -309,7 +329,7 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
         value = float(model.terminal.phi(np.atleast_2d(
             np.asarray(x, dtype=float)))[0])
         return EstimatorResult(mean=value, stderr=0.0, ci95=(value, value),
-                               n_trees=n_trees, truncated_trees=0,
+                               n_trees=n_trees,
                                elapsed=time.perf_counter() - start,
                                mean_tree_size=1.0, max_tree_size=1)
 
@@ -341,8 +361,7 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
     half = 1.959964 * stderr
     return EstimatorResult(mean=total.mean, stderr=stderr,
                            ci95=(total.mean - half, total.mean + half),
-                           n_trees=total.n, truncated_trees=0,
-                           elapsed=time.perf_counter() - start,
+                           n_trees=total.n, elapsed=time.perf_counter() - start,
                            mean_tree_size=total.sum_particles / total.n,
                            max_tree_size=total.max_particles)
 
@@ -362,8 +381,12 @@ def resolve_workers(requested: int | None) -> int:
     """Workers from the request or the BRANCHPDE_THREADS environment override."""
     env = os.environ.get("BRANCHPDE_THREADS")
     if env is not None:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
         if value < 1:
-            raise DomainError("BRANCHPDE_THREADS must be a positive integer")
+            raise DomainError(
+                f"BRANCHPDE_THREADS must be a positive integer, got {env!r}")
         return value
     return requested if requested else 1

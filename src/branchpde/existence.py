@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _integrate
 
-from .bernstein import LaplaceExponent, check_integrability_cd
+from .bernstein import (LaplaceExponent, check_integrability_cd,
+                        laplace_power_integral)
 from .errors import AdmissibilityError, DomainError, NotLipschitzError
 from .model import PdeModel
 from .specfun import gamma_fn, upper_reg_gamma
@@ -54,26 +55,6 @@ class Theorem2Check:
     rho_integral: float
     eta_exponent: float
     inconclusive: bool
-
-
-def _inner_lambda_integral(eta: LaplaceExponent, p: float, s: float) -> float:
-    """integral_0^inf e^(-s eta(l)) l^(p/2 - 1) dl by split quadrature."""
-    def f(lam):
-        return math.exp(-s * float(eta(lam))) * lam ** (p / 2.0 - 1.0)
-
-    lo, hi = 1e-12, 1e14
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if s * float(eta(mid)) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam_star = math.sqrt(lo * hi)
-    head, _ = _integrate.quad(f, 0.0, lam_star, epsabs=0.0, epsrel=1e-9, limit=300)
-    tail, _ = _integrate.quad(lambda u: f(lam_star * math.exp(u)) * lam_star
-                              * math.exp(u), 0.0, 80.0,
-                              epsabs=1e-300, epsrel=1e-9, limit=300)
-    return head + tail
 
 
 def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
@@ -102,7 +83,7 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
     # small-s decay exponent of  rho^(1-p)(s) * inner(s)
     s_grid = np.geomspace(1e-6, min(T, 1e-2), 8)
     vals = np.array([
-        _inner_lambda_integral(eta, p, s)
+        laplace_power_integral(eta, s, p / 2.0, rel_tol=1e-9)
         * (s ** (delta - 1.0) * math.exp(-s) / gd) ** (1.0 - p)
         for s in s_grid])
     slope = float(np.polyfit(np.log(s_grid), np.log(vals), 1)[0])

@@ -277,33 +277,20 @@ def audit_coeff_sup(model: PdeModel, T: float = 1.0, n_points: int = 10_000,
 # --------------------------------------------------------------------------
 
 
-def _sup_nld_source(k: int, alpha: float, d: int, T: float) -> float:
-    """Radial/temporal scan bound for |c_0| of the nld model.
+def _radial_sup(coeff, direction: np.ndarray, T: float) -> float:
+    """Scan bound for |coeff(t, x)| over t in [0, T] and x along ``direction``.
 
-    For k = 0 the exterior branch blows up at |x| -> 1+, so the scan excludes
-    a thin shell and the returned value is a finite proxy for the formally
-    infinite sup.
+    For k = 0 the nld exterior branch blows up at |x| -> 1+, so the scan
+    excludes a thin shell and the returned value is a finite proxy for the
+    formally infinite sup.
     """
-    src = NldSource(k=k, alpha=alpha, d=d)
     r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
                          1.0 + np.geomspace(1e-4, 24.0, 400)])
-    x = np.zeros((r2.size, d))
-    x[:, 0] = np.sqrt(r2)
+    x = (np.sqrt(np.maximum(r2, 1e-30))[:, None] / np.linalg.norm(direction)
+         * direction)
     sup = 0.0
     for t in np.linspace(0.0, T, 41):
-        sup = max(sup, float(np.max(np.abs(src(t, x)))))
-    return sup
-
-
-def _sup_gradd_source(k: int, alpha: float, d: int, T: float) -> float:
-    src = GraddSource(k=k, alpha=alpha, d=d)
-    r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
-                         1.0 + np.geomspace(1e-4, 24.0, 400)])
-    # worst direction for sum_j x_j is the diagonal
-    x = np.sqrt(np.maximum(r2, 1e-30))[:, None] / np.sqrt(d) * np.ones((1, d))
-    sup = 0.0
-    for t in np.linspace(0.0, T, 41):
-        sup = max(sup, float(np.max(np.abs(src(t, x)))))
+        sup = max(sup, float(np.max(np.abs(coeff(t, x)))))
     return sup
 
 
@@ -335,7 +322,8 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
         indices = ((0,), (1,), (4,))
         coeffs = (NldSource(k=k, alpha=alpha, d=d),
                   ConstantCoefficient(1.0), ConstantCoefficient(1.0))
-        sups = (_sup_nld_source(k, alpha, d, T), 1.0, 1.0)
+        # |c_0| is radial
+        sups = (_radial_sup(coeffs[0], np.eye(d)[0], T), 1.0, 1.0)
         nonlin = PolynomialNonlinearity(d=d, m=0, indices=indices,
                                         coeffs=coeffs, coeff_sup=sups)
         return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
@@ -352,7 +340,8 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
         indices = (zero, lone_u) + grads
         coeffs = ((GraddSource(k=k, alpha=alpha, d=d),)
                   + (ConstantCoefficient(1.0),) * (d + 1))
-        sups = (_sup_gradd_source(k, alpha, d, T),) + (1.0,) * (d + 1)
+        # the worst direction for sum_j x_j is the diagonal
+        sups = (_radial_sup(coeffs[0], np.ones(d), T),) + (1.0,) * (d + 1)
         nonlin = PolynomialNonlinearity(d=d, m=d, indices=indices,
                                         coeffs=coeffs, coeff_sup=sups)
         return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,

@@ -1,5 +1,6 @@
 """Exact simulation primitives: splittable RNG streams, CMS stable sampling,
-subordinated Gaussian increments, gamma lifetimes, and offspring draws.
+gamma lifetimes, and offspring draws.  The subordinated Gaussian move built
+on the CMS sampler lives with the tree engine that runs it.
 
 Streams are counter-based (Philox) and keyed by (master_seed, stream_id), so a
 stream's sequence depends only on its key — never on scheduling or worker
@@ -78,42 +79,6 @@ def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size=None
     if scalar:
         return float(out[0])
     return out.reshape(size)
-
-
-@dataclass(frozen=True)
-class SubordinatedIncrement:
-    """Subordinator time consumed and the Brownian displacement over it."""
-
-    ds: object  # real > 0, scalar or (n,)
-    dx: object  # vector[d], (d,) or (n, d)
-
-
-def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
-                                  rng: RngStream, size=None) -> SubordinatedIncrement:
-    """One move of the subordinated Brownian motion over operator kappa*Delta_alpha.
-
-    ds = kappa^(2/alpha) * S(alpha, dt) (deterministic 2*kappa*dt at alpha = 2)
-    and dx = sqrt(ds) * N(0, I_d).  ``dt`` may be an array matching ``size``.
-    """
-    if d < 1:
-        raise DomainError(f"dimension must be positive, got {d}")
-    if kappa <= 0.0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if size is None:
-        ds = kappa ** (2.0 / alpha) * sample_stable_subordinator(alpha, float(dt), rng)
-        dx = np.sqrt(ds) * rng.gen.standard_normal(d)
-        return SubordinatedIncrement(ds=ds, dx=dx)
-    dt = np.asarray(dt, dtype=float)
-    if np.any(dt <= 0.0):
-        raise DomainError("dt must be positive")
-    if alpha == 2.0:
-        ds = 2.0 * kappa * np.broadcast_to(dt, size).astype(float)
-    else:
-        # scale-invariance: S(alpha, dt) = dt^(2/alpha) S(alpha, 1)
-        unit = sample_stable_subordinator(alpha, 1.0, rng, size=size)
-        ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
-    dx = np.sqrt(ds)[..., None] * rng.gen.standard_normal((*np.shape(ds), d))
-    return SubordinatedIncrement(ds=ds, dx=dx)
 
 
 def sample_lifetime(delta: float, rng: RngStream, size=None):

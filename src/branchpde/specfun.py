@@ -172,12 +172,10 @@ def _psi_exterior_coef(k: int, alpha: float, d: int) -> float:
             / (gamma_fn(k + 1.0 + (d + alpha) / 2.0) * gamma_reflected(-alpha / 2.0)))
 
 
-def psi_getoor(k: int, alpha: float, d: int, x,
-               policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Negative fractional Laplacian of the bump, by its hypergeometric closed form.
+def psi_getoor(k: int, alpha: float, d: int, x) -> float:
+    """Negative fractional Laplacian of the bump at one point x of shape (d,).
 
-    Interior (|x| <= 1) the series terminates after k+1 terms; exterior it is
-    the signed Gamma(-a/2) branch, negative for a in (0, 2).
+    Validates the point and evaluates it through ``psi_getoor_batch``.
     """
     _check_k_alpha(k, alpha, upper=2.0)
     if alpha >= 2.0:
@@ -187,27 +185,16 @@ def psi_getoor(k: int, alpha: float, d: int, x,
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if xa.shape[-1] != d:
         raise DomainError(f"point has dimension {xa.shape[-1]}, expected {d}")
-    r2 = float(np.sum(xa ** 2))
-    if r2 <= 1.0:
-        return _psi_interior_coef(k, alpha, d) * _terminating_2f1(
-            (d + alpha) / 2.0, k, d / 2.0, r2)
-    z = 1.0 / r2
-    a = (d + alpha) / 2.0
-    b = (2.0 + alpha) / 2.0
-    c = k + 1.0 + (d + alpha) / 2.0
-    if z > 0.99:
-        # the Euler-transformed series needs O(1/(1-z)) terms this close to
-        # the boundary; switch to the 1-z connection formula
-        f = float(_hyp2f1_near_one_vec(a, b, c, np.array([z]))[0])
-    else:
-        f = hyp2f1(a, b, c, z, policy)
-    return _psi_exterior_coef(k, alpha, d) * r2 ** (-(d + alpha) / 2.0) * f
+    if not np.all(np.isfinite(xa)):
+        raise DomainError(f"psi_getoor requires a finite point, got {xa}")
+    return float(psi_getoor_batch(k, alpha, d, np.array([np.sum(xa ** 2)]))[0])
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation used by the tree engine's coefficient functions.
-# The exterior branch switches to the 1-z connection formula near z = 1,
-# where the Euler-transformed series would need O(1/(1-z)) terms.
+# Vectorized evaluation of Psi.  Interior (|x| <= 1) the series terminates
+# after k+1 terms; the exterior branch keeps the signed Gamma(-a/2) factor and
+# switches to the 1-z connection formula near z = 1/|x|^2 = 1, where the
+# direct series would need O(1/(1-z)) terms.
 # ---------------------------------------------------------------------------
 
 def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,

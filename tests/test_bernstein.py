@@ -7,7 +7,7 @@ import pytest
 from branchpde.bernstein import (BetaRatio, LaplaceExponent, LogCorrected,
                                  Relativistic, ScaledStable, Stable,
                                  StableWithDrift, SumOfStables,
-                                 check_integrability_cd, eval_eta,
+                                 check_integrability_cd,
                                  integrability_table, neg_moment_numeric,
                                  neg_moment_stable)
 from branchpde.errors import DivergenceError, DomainError
@@ -27,13 +27,13 @@ ALL_FAMILIES = [
 
 class TestEvalEta:
     def test_stable_values(self):
-        assert eval_eta(Stable(alpha=2.0), 3.0) == pytest.approx(6.0)
-        assert eval_eta(Stable(alpha=1.5), 2.0) == pytest.approx(4.0 ** 0.75)
-        assert eval_eta(Relativistic(alpha=1.5, m=1.0), 0.0) == pytest.approx(0.0)
+        assert Stable(alpha=2.0)(3.0) == pytest.approx(6.0)
+        assert Stable(alpha=1.5)(2.0) == pytest.approx(4.0 ** 0.75)
+        assert Relativistic(alpha=1.5, m=1.0)(0.0) == pytest.approx(0.0)
 
     def test_negative_lambda(self):
         with pytest.raises(DomainError):
-            eval_eta(Stable(alpha=1.5), -1.0)
+            Stable(alpha=1.5)(-1.0)
 
     @pytest.mark.parametrize("eta", ALL_FAMILIES, ids=lambda e: type(e).__name__)
     def test_bernstein_properties(self, eta):

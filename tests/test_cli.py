@@ -28,7 +28,7 @@ class TestEstimate:
         assert code == EXIT_OK
 
         lines = out.read_text().splitlines()
-        assert lines[0] == ("mean,stderr,ci_lo,ci_hi,n,truncated,"
+        assert lines[0] == ("mean,stderr,ci_lo,ci_hi,n,"
                             "mean_tree_size,max_tree_size")
         mean, stderr = float(lines[1].split(",")[0]), float(lines[1].split(",")[1])
         assert abs(mean - math.exp(0.4)) < 4.0 * stderr
@@ -100,7 +100,7 @@ class TestSweep:
                      "--workers", "4"]) == EXIT_OK
         assert a.read_text() == b.read_text()
         lines = a.read_text().splitlines()
-        assert lines[0] == "x1,mean,stderr,ci_lo,ci_hi,n,truncated"
+        assert lines[0] == "x1,mean,stderr,ci_lo,ci_hi,n"
         assert len(lines) == 6
         assert [float(r.split(",")[0]) for r in lines[1:]] == \
             [-1.0, -0.5, 0.0, 0.5, 1.0]
@@ -178,6 +178,12 @@ class TestConfigErrors:
         cfg = _write_cfg(tmp_path, "cfg.json", {"model": "heat"})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
+    def test_non_integer_threads_env(self, tmp_path, monkeypatch, capsys):
+        cfg = _write_cfg(tmp_path, "cfg.json", LINEAR_CFG)
+        monkeypatch.setenv("BRANCHPDE_THREADS", "abc")
+        assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+        assert "BRANCHPDE_THREADS" in capsys.readouterr().err
+
     def test_inadmissible_model(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json",
                          {"model": "gradd", "d": 2, "alpha": 1.0})
@@ -201,7 +207,7 @@ class TestConfigErrors:
 class TestResultRoundTrip:
     def test_dict_round_trip(self):
         res = EstimatorResult(mean=1.5, stderr=0.01, ci95=(1.48, 1.52),
-                              n_trees=1000, truncated_trees=0, elapsed=0.5,
+                              n_trees=1000, elapsed=0.5,
                               mean_tree_size=3.2, max_tree_size=17)
         doc = result_to_dict(res)
         assert isinstance(doc["ci95"], list)

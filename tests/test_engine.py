@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -28,6 +31,21 @@ def _pure_heat_model(d=2, bound=50.0):
                     nonlinearity=nonlin, terminal=terminal,
                     branching=uniform_branching(1),
                     lifetime=LifetimeDensity(0.5))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTerminalShortCircuit:
@@ -204,9 +222,22 @@ class TestValidation:
         model = builtin_model("linear-test")
         res = estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=5_000)
         assert isinstance(res, EstimatorResult)
-        assert res.n_trees == 5_000 and res.truncated_trees == 0
+        assert {f.name for f in dataclasses.fields(res)} == {
+            "mean", "stderr", "ci95", "n_trees", "elapsed", "mean_tree_size",
+            "max_tree_size"}
+        assert res.n_trees == 5_000
         assert res.ci95[0] < res.mean < res.ci95[1]
         assert res.mean_tree_size >= 1.0 and res.elapsed > 0.0
+
+    @pytest.mark.parametrize("name, kwargs, t, x, T", [
+        ("nld", {"d": 2, "k": 1}, 0.5, [0.0, 0.0], math.nan),
+        ("linear-test", {}, -math.inf, [0.0], 1.0),
+        ("nld", {"d": 2, "k": 1}, 0.5, [math.nan, 0.0], 1.0),
+    ], ids=["T-nan", "t-minus-inf", "x-nan"])
+    def test_non_finite_point_fails_fast(self, name, kwargs, t, x, T):
+        model = builtin_model(name, **kwargs)
+        with _deadline(5.0), pytest.raises(DomainError):
+            estimate(model, t, np.array(x), 0, T, n_trees=1_000)
 
 
 class TestResolveWorkers:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from branchpde.engine import sample_subordinated_increment
 from branchpde.errors import DomainError
 from branchpde.model import uniform_branching
 from branchpde.sampling import (RngStream, sample_lifetime, sample_offspring,
-                                sample_stable_subordinator,
-                                sample_subordinated_increment)
+                                sample_stable_subordinator)
 from branchpde.specfun import upper_reg_gamma
 
 
@@ -80,29 +80,31 @@ class TestStableSubordinator:
 class TestSubordinatedIncrement:
     def test_alpha2_deterministic_clock(self):
         rng = RngStream(4, 0)
-        inc = sample_subordinated_increment(1, 2.0, 1.0, 0.5, rng)
-        assert inc.ds == pytest.approx(1.0)
+        ds, dx = sample_subordinated_increment(1, 2.0, 1.0, 0.5, rng)
+        assert ds == pytest.approx(1.0) and dx.shape == (1,)
 
     def test_conditional_variance(self):
         rng = RngStream(5, 0)
-        inc = sample_subordinated_increment(3, 1.5, 1.0, 1.0, rng, size=100_000)
-        ratio = inc.dx ** 2 / inc.ds[:, None]
+        ds, dx = sample_subordinated_increment(3, 1.5, 1.0, 1.0, rng,
+                                               size=100_000)
+        ratio = dx ** 2 / ds[:, None]
         for j in range(3):
             assert ratio[:, j].mean() == pytest.approx(1.0, abs=0.02)
 
     def test_symmetry(self):
         rng = RngStream(6, 0)
-        inc = sample_subordinated_increment(2, 1.5, 1.0, 1.0, rng, size=200_000)
+        _, dx = sample_subordinated_increment(2, 1.5, 1.0, 1.0, rng,
+                                              size=200_000)
         for j in range(2):
-            col = inc.dx[:, j]
+            col = dx[:, j]
             se = col.std(ddof=1) / math.sqrt(col.size)
             assert abs(col.mean()) < 4.0 * se
 
     def test_kappa_scaling(self):
-        ds4 = sample_subordinated_increment(
-            1, 1.5, 4.0, 1.0, RngStream(7, 0), size=100_000).ds
-        ds1 = sample_subordinated_increment(
-            1, 1.5, 1.0, 1.0, RngStream(8, 0), size=100_000).ds
+        ds4, _ = sample_subordinated_increment(
+            1, 1.5, 4.0, 1.0, RngStream(7, 0), size=100_000)
+        ds1, _ = sample_subordinated_increment(
+            1, 1.5, 1.0, 1.0, RngStream(8, 0), size=100_000)
         ks = stats.ks_2samp(ds4, 4.0 ** (4.0 / 3.0) * ds1).statistic
         assert ks < 0.01
 

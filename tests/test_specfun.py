@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special
 
 from branchpde.errors import AccuracyError, DomainError
 from branchpde.specfun import (EvalPolicy, gamma_fn, gamma_reflected, hyp2f1,
@@ -163,6 +164,20 @@ def _fractional_laplacian_quadrature(k, alpha, d, x):
     return -c * (head + mid + tail)  # returns Psi = -Delta_alpha Phi
 
 
+def _psi_closed_form(k, alpha, d, r2):
+    """Psi_(k,alpha) at |x|^2 = r2 by its closed form, 2F1 from scipy."""
+    g = math.gamma
+    a = (d + alpha) / 2.0
+    if r2 <= 1.0:
+        coef = (g(a) * g(k + 1.0 + alpha / 2.0) * 2.0 ** alpha
+                / (g(k + 1.0) * g(d / 2.0)))
+        return coef * special.hyp2f1(a, -k, d / 2.0, r2)
+    c = k + 1.0 + a
+    coef = (2.0 ** alpha * g(a) * g(k + 1.0 + alpha / 2.0)
+            / (g(c) * g(-alpha / 2.0)))
+    return coef * r2 ** -a * special.hyp2f1(a, (2.0 + alpha) / 2.0, c, 1.0 / r2)
+
+
 class TestPsiGetoor:
     def test_unit_value(self):
         assert psi_getoor(0, 1.0, 1, np.zeros(1)) == pytest.approx(1.0, rel=1e-12)
@@ -195,16 +210,15 @@ class TestPsiGetoor:
             x = rng.uniform(-1.4, 1.4, (40, d))
             r2 = np.sum(x ** 2, axis=1)
             batch = psi_getoor_batch(k, alpha, d, r2)
-            scalar = np.array([psi_getoor(k, alpha, d, xi) for xi in x])
-            np.testing.assert_allclose(batch, scalar, rtol=1e-9)
+            exact = np.array([_psi_closed_form(k, alpha, d, v) for v in r2])
+            np.testing.assert_allclose(batch, exact, rtol=1e-9)
 
     def test_batch_near_boundary_exterior(self):
         # connection-formula branch: z = 1/r^2 just above 0.9
         r2 = np.array([1.0001, 1.01, 1.05, 1.1, 1.1111])
         vals = psi_getoor_batch(1, 1.5, 2, r2)
-        x = np.stack([np.sqrt(r2), np.zeros(5)], axis=1)
-        scalar = np.array([psi_getoor(1, 1.5, 2, xi) for xi in x])
-        np.testing.assert_allclose(vals, scalar, rtol=1e-8)
+        exact = np.array([_psi_closed_form(1, 1.5, 2, v) for v in r2])
+        np.testing.assert_allclose(vals, exact, rtol=1e-8)
 
     def test_domain(self):
         with pytest.raises(DomainError):
