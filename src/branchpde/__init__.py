@@ -5,8 +5,8 @@ from .bernstein import (BetaRatio, LaplaceExponent, LogCorrected, Relativistic,
                         ScaledStable, Stable, StableWithDrift, SumOfStables,
                         check_integrability_cd, integrability_table,
                         neg_moment_numeric, neg_moment_stable)
-from .engine import (EstimatorResult, TreeBudget, TreeOutcome, estimate,
-                     estimate_gradient_all, grow_tree,
+from .engine import (EstimatorResult, Grid, TreeBudget, TreeOutcome,
+                     estimate, estimate_gradient_all, grow_tree,
                      sample_subordinated_increment)
 from .errors import (AccuracyError, AdmissibilityError, BranchPdeError,
                      BudgetExceededError, ConfigError,

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .bernstein import ScaledStable
-from .engine import (DEFAULT_BUDGET, EstimatorResult, TreeBudget, estimate,
-                     resolve_workers)
+from .engine import (DEFAULT_BUDGET, EstimatorResult, Grid, TreeBudget,
+                     estimate, resolve_workers)
 from .errors import (AdmissibilityError, BranchPdeError, BudgetExceededError,
                      ConfigError, UnknownModelError)
 from .existence import build_horizon_report
@@ -230,16 +230,18 @@ def cmd_sweep(cfg: dict) -> int:
     if not _strict_gate(cfg, model):
         return EXIT_UNCERTIFIED
     mark = int(cfg.get("mark", 0))
-    grid = _parse_grid(cfg.get("grid", "-1.5:1.5:61"))
+    x1s = _parse_grid(cfg.get("grid", "-1.5:1.5:61"))
+    points = np.tile(x, (x1s.size, 1))
+    points[:, 0] = x1s
+    shared = Grid(points)
     out = cfg.get("out")
     rows = []
     try:
-        for x1 in grid:
-            point = x.copy()
-            point[0] = x1
+        # one call per point; the first grows the trees for all of them
+        for point in points:
             res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
-                           workers=workers, budget=budget)
-            rows.append((float(x1),) + _estimate_row(res)[:5])
+                           workers=workers, budget=budget, grid=shared)
+            rows.append((float(point[0]),) + _estimate_row(res)[:5])
     except BudgetExceededError:
         if out is not None and os.path.exists(out):
             os.remove(out)

@@ -16,10 +16,14 @@ children carry mark 0, the next l_1 carry mark 1, ...).  W is 1 for mark 0 and
 (displacement component theta) / (subordinator increment) otherwise.  The tree
 value H is the product of all factors, and u(t,x) = E[H].
 
-Growth is level-synchronous and vectorized over a whole batch of trees;
-per-tree products are accumulated as (sign, log|.|) pairs via bincount.
-Randomness is drawn from one stream per fixed-size batch, so estimates are
-bit-identical for any worker count.
+Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
+is independent of the root position x, which enters only by translation.  So
+a batch of trees is grown once, level-synchronously and rooted at the origin,
+into a skeleton of per-particle displacements; evaluating it at a point reads
+phi and c_l at x + displacement and accumulates per-tree products as
+(sign, log|.|) pairs via bincount.  One skeleton serves every point of a
+sweep.  Randomness is drawn from one stream per fixed-size batch, so
+estimates are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
 BATCH_TREES = 25_000
+# A grown batch is stored whole, about 8 (d + 5) bytes a particle: 2e6 of
+# them is ~100 MB at d = 1, 33x the largest batch of the fig sweeps.
+MAX_BATCH_PARTICLES = 2_000_000
 _MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
 
 
@@ -111,36 +118,62 @@ def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
     return ds, dx
 
 
-def _offspring_patterns(model: PdeModel):
-    """Per category: (children count, child-mark pattern per block layout)."""
-    patterns = []
-    for l in model.nonlinearity.indices:
-        marks = []
-        for mark, count in enumerate(l):
-            marks.extend([mark] * count)
-        patterns.append(np.array(marks, dtype=np.int64))
-    return patterns
+def _offspring_layout(model: PdeModel):
+    """Children per category, and the child marks of every category in one
+    array, each category's block starting at its offset.
 
-
-def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
-                T: float, rng: RngStream, budget: TreeBudget,
-                prune_dead: bool = True):
-    """Grow a batch of independent trees level-synchronously.
-
-    Returns (h, particles, leaves, max_gen) arrays of length n_batch; ``x`` is
-    (n_batch, d).  Raises BudgetExceededError if any tree outgrows the budget.
+    Block layout: of a category l's children the first l_0 carry mark 0, the
+    next l_1 carry mark 1, and so on.
     """
-    n = x.shape[0]
-    lifetime = model.lifetime
-    nonlin = model.nonlinearity
-    q_probs = np.asarray(model.branching.probs, dtype=float)
-    patterns = _offspring_patterns(model)
-    child_counts = np.array([p.size for p in patterns], dtype=np.int64)
+    indices = model.nonlinearity.indices
+    counts = np.array([sum(l) for l in indices], dtype=np.int64)
+    marks = np.concatenate([np.repeat(np.arange(len(l)), l) for l in indices])
+    return counts, marks, np.cumsum(counts) - counts
 
-    # per-tree accumulators
-    log_abs = np.zeros(n)
-    n_neg = np.zeros(n, dtype=np.int64)
-    dead = np.zeros(n, dtype=bool)     # product hit an exact zero
+
+@dataclass(frozen=True)
+class _Level:
+    """The particles of one generation of a batch, in draw order.
+
+    ``disp`` is each particle's displacement from its root at its death (or
+    at T for a leaf); ``den`` is survival(T - birth) for a leaf and
+    q_l rho(lifetime) for an interior particle.  Nothing here depends on the
+    root position.
+    """
+
+    tree: np.ndarray          # (n,) tree index
+    leaf_rows: np.ndarray     # rows of leaves
+    cat_rows: tuple           # per offspring category, its interior rows
+    disp: np.ndarray          # (n, d)
+    death: np.ndarray         # (n,) death time, read at interiors
+    w: np.ndarray             # (n,) derivative weight
+    den: np.ndarray           # (n,)
+    marked_leaf_rows: np.ndarray
+    marked_leaf_birth: np.ndarray  # (len(marked_leaf_rows), d) birth displacement
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """One batch of trees grown without a root position."""
+
+    levels: tuple
+    particles: np.ndarray     # (n_batch,) particles per tree
+    leaves: np.ndarray
+    max_gen: np.ndarray
+
+
+def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
+                   n: int, rng: RngStream, budget: TreeBudget) -> _Skeleton:
+    """Grow ``n`` independent trees level-synchronously, rooted at the origin.
+
+    Every draw is independent of the root position, so one skeleton serves
+    any number of points.  Raises BudgetExceededError if a tree outgrows the
+    budget or the batch would store more than MAX_BATCH_PARTICLES particles.
+    """
+    lifetime = model.lifetime
+    q_probs = np.asarray(model.branching.probs, dtype=float)
+    child_counts, child_marks, mark_offsets = _offspring_layout(model)
+
     particles = np.ones(n, dtype=np.int64)
     leaves = np.zeros(n, dtype=np.int64)
     max_gen = np.ones(n, dtype=np.int64)
@@ -149,7 +182,9 @@ def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
     tree = np.arange(n, dtype=np.int64)
     marks = np.full(n, root_mark, dtype=np.int64)
     birth = np.full(n, float(t))
-    pos = np.array(x, dtype=float, copy=True)
+    disp = np.zeros((n, model.d))
+    levels = []
+    stored = n
 
     gen = 1
     while tree.size:
@@ -163,107 +198,139 @@ def _grow_batch(model: PdeModel, t: float, x: np.ndarray, root_mark: int,
         ds, dx = sample_subordinated_increment(
             model.d, model.alpha, model.kappa, np.where(leaf, T - birth, tau),
             rng, size=tree.size)
-        new_pos = pos + dx
+        end = disp + dx
 
         w = np.ones(tree.size)
         marked = marks > 0
         if np.any(marked):
             w[marked] = dx[marked, marks[marked] - 1] / ds[marked]
 
-        factor = np.empty(tree.size)
+        den = np.empty(tree.size)
+        leaf_rows = np.flatnonzero(leaf)
+        if leaf_rows.size:
+            den[leaf_rows] = lifetime.survival(T - birth[leaf_rows])
+            leaves += np.bincount(tree[leaf_rows], minlength=n)
+        marked_leaf_rows = np.flatnonzero(leaf & marked)
 
-        if np.any(leaf):
-            lpos = new_pos[leaf]
-            phi_end = np.asarray(model.terminal.phi(lpos), dtype=float)
-            diff = phi_end.copy()
-            lmarked = marked[leaf]
-            if np.any(lmarked):
-                phi_birth = np.asarray(model.terminal.phi(pos[leaf][lmarked]),
-                                       dtype=float)
-                diff[lmarked] = diff[lmarked] - phi_birth
-            factor[leaf] = diff * w[leaf] / lifetime.survival(T - birth[leaf])
-            leaves += np.bincount(tree[leaf], minlength=n)
+        int_rows = np.flatnonzero(~leaf)
+        cat_rows = ()
+        if int_rows.size:
+            cat = sample_offspring(model.branching, rng, size=int_rows.size)
+            den[int_rows] = q_probs[cat] * lifetime.rho(tau[int_rows])
+            cat_rows = tuple(int_rows[cat == ci]
+                             for ci in range(child_counts.size))
+        levels.append(_Level(tree=tree, leaf_rows=leaf_rows, cat_rows=cat_rows,
+                             disp=end, death=death, w=w, den=den,
+                             marked_leaf_rows=marked_leaf_rows,
+                             marked_leaf_birth=disp[marked_leaf_rows]))
 
-        interior = ~leaf
-        n_int = int(np.count_nonzero(interior))
-        if n_int:
-            cat = sample_offspring(model.branching, rng, size=n_int)
-            idx_int = np.flatnonzero(interior)
-            c_val = np.empty(n_int)
-            for ci in range(len(patterns)):
-                sel = cat == ci
-                if np.any(sel):
-                    rows = idx_int[sel]
-                    c_val[sel] = nonlin.coeffs[ci](death[rows], new_pos[rows])
-            factor[interior] = (c_val / (q_probs[cat] * lifetime.rho(tau[interior]))
-                                * w[interior])
+        # spawn children of interior particles
+        if not int_rows.size:
+            break
+        counts = child_counts[cat]
+        has_kids = counts > 0
+        if not np.any(has_kids):
+            break
+        parent_rows = int_rows[has_kids]
+        kid_counts = counts[has_kids]
+        ends = np.cumsum(kid_counts)
+        stored += int(ends[-1])
+        if stored > MAX_BATCH_PARTICLES:
+            raise BudgetExceededError(
+                f"a batch of {n} trees would store more than "
+                f"{MAX_BATCH_PARTICLES} particles; shrink T - t")
+        tree = np.repeat(tree[parent_rows], kid_counts)
+        # the child at position k of a parent whose children start at s
+        # takes mark k - s of its category's block
+        marks = child_marks[np.arange(ends[-1]) + np.repeat(
+            mark_offsets[cat[has_kids]] - (ends - kid_counts), kid_counts)]
+        birth = np.repeat(death[parent_rows], kid_counts)
+        disp = np.repeat(end[parent_rows], kid_counts, axis=0)
+        particles += np.bincount(tree, minlength=n)
+        gen += 1
+        max_gen[tree] = gen
+
+    return _Skeleton(levels=tuple(levels), particles=particles, leaves=leaves,
+                     max_gen=max_gen)
+
+
+def _evaluate(model: PdeModel, skeleton: _Skeleton, x: np.ndarray,
+              skip_dead: bool = True) -> np.ndarray:
+    """Per-tree products H of a skeleton rooted at ``x`` (shape (d,)).
+
+    Positions are x + displacement; the factors are folded into per-tree
+    (sign, log|.|) sums level by level.  With ``skip_dead`` the particles of
+    trees whose product is already exactly zero are not evaluated: their H
+    is 0 whatever the remaining factors are, and the draws are not touched.
+    """
+    n = skeleton.particles.size
+    phi = model.terminal.phi
+    coeffs = model.nonlinearity.coeffs
+    log_abs = np.zeros(n)
+    n_neg = np.zeros(n, dtype=np.int64)
+    dead = np.zeros(n, dtype=bool)     # product hit an exact zero
+
+    def live(tree, rows):
+        return rows[~dead[tree[rows]]] if skip_dead else rows
+
+    for lv in skeleton.levels:
+        factor = np.zeros(lv.tree.size)
+
+        rows = live(lv.tree, lv.leaf_rows)
+        if rows.size:
+            factor[rows] = phi(x + lv.disp[rows])
+            marked, births = lv.marked_leaf_rows, lv.marked_leaf_birth
+            if skip_dead:
+                keep = ~dead[lv.tree[marked]]
+                marked, births = marked[keep], births[keep]
+            if marked.size:
+                factor[marked] = factor[marked] - phi(x + births)
+            leaf_factor = factor[rows] * lv.w[rows] / lv.den[rows]
+            factor[rows] = leaf_factor
+            if skip_dead:
+                dead[lv.tree[rows[leaf_factor == 0.0]]] = True
+
+        for ci, cat_rows in enumerate(lv.cat_rows):
+            rows = live(lv.tree, cat_rows)
+            if rows.size:
+                c_val = coeffs[ci](lv.death[rows], x + lv.disp[rows])
+                factor[rows] = (c_val / lv.den[rows]) * lv.w[rows]
 
         # fold the factors into the per-tree running products
         zero = factor == 0.0
         if np.any(zero):
-            dead[tree[zero]] = True
+            dead[lv.tree[zero]] = True
         nz = ~zero
         if np.any(nz):
-            log_abs += np.bincount(tree[nz], weights=np.log(np.abs(factor[nz])),
+            tree = lv.tree[nz]
+            log_abs += np.bincount(tree, weights=np.log(np.abs(factor[nz])),
                                    minlength=n)
-            neg = nz & (factor < 0.0)
+            neg = factor[nz] < 0.0
             if np.any(neg):
                 n_neg += np.bincount(tree[neg], minlength=n)
-
-        # spawn children of interior particles
-        if n_int:
-            counts = child_counts[cat]
-            has_kids = counts > 0
-            if np.any(has_kids):
-                parent_rows = idx_int[has_kids]
-                kid_counts = counts[has_kids]
-                child_tree = np.repeat(tree[parent_rows], kid_counts)
-                child_birth = np.repeat(death[parent_rows], kid_counts)
-                child_pos = np.repeat(new_pos[parent_rows], kid_counts, axis=0)
-                child_marks = np.concatenate(
-                    [patterns[ci] for ci in cat[has_kids]])
-                particles += np.bincount(child_tree, minlength=n)
-                if prune_dead:
-                    alive = ~dead[child_tree]
-                    child_tree = child_tree[alive]
-                    child_marks = child_marks[alive]
-                    child_birth = child_birth[alive]
-                    child_pos = child_pos[alive]
-                tree = child_tree
-                marks = child_marks
-                birth = child_birth
-                pos = child_pos
-                if tree.size:
-                    gen += 1
-                    max_gen[tree] = gen
-                continue
-        break
 
     sign = np.where(n_neg % 2 == 0, 1.0, -1.0)
     h = np.where(dead, 0.0, sign * np.exp(log_abs))
     if not np.all(np.isfinite(h)):
         raise BudgetExceededError("tree product overflowed to non-finite")
-    return h, particles, leaves, max_gen
+    return h
 
 
 def grow_tree(model: PdeModel, t: float, x, mark: int, T: float,
-              rng: RngStream, budget: TreeBudget = DEFAULT_BUDGET,
-              prune_dead: bool = True) -> TreeOutcome:
+              rng: RngStream, budget: TreeBudget = DEFAULT_BUDGET) -> TreeOutcome:
     """One unbiased sample of H_phi for a tree rooted at (t, x) with the
-    given mark.
-
-    ``prune_dead=False`` keeps growing branches of trees whose product already
-    hit an exact zero, so particle counts reflect the full branching process.
-    """
+    given mark."""
     _validate_point(model, t, x, mark, T)
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     if t == T:
-        return TreeOutcome(h_value=float(model.terminal.phi(xa)[0]),
+        return TreeOutcome(h_value=float(model.terminal.phi(xa[None, :])[0]),
                            particles_total=1, leaves=1, max_gen=1)
-    h, particles, leaves, max_gen = _grow_batch(model, t, xa, mark, T, rng,
-                                                budget, prune_dead=prune_dead)
-    return TreeOutcome(h_value=float(h[0]), particles_total=int(particles[0]),
-                       leaves=int(leaves[0]), max_gen=int(max_gen[0]))
+    skeleton = _grow_skeleton(model, t, mark, T, 1, rng, budget)
+    h = _evaluate(model, skeleton, xa)
+    return TreeOutcome(h_value=float(h[0]),
+                       particles_total=int(skeleton.particles[0]),
+                       leaves=int(skeleton.leaves[0]),
+                       max_gen=int(skeleton.max_gen[0]))
 
 
 def _validate_point(model, t, x, mark, T):
@@ -281,16 +348,22 @@ def _validate_point(model, t, x, mark, T):
             "derivative weight is degenerate at t == T; use t < T")
 
 
-def _batch_stats(model, t, x, mark, T, master_seed, batch_idx, batch_size,
-                 budget) -> _BatchStats:
+def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
+                 batch_size, budget) -> list:
+    """Grow batch ``batch_idx`` once and evaluate it at every point."""
     rng = RngStream(master_seed, (mark << _MARK_SHIFT) | batch_idx)
-    xa = np.broadcast_to(np.asarray(x, dtype=float), (batch_size, model.d))
-    h, particles, _, _ = _grow_batch(model, t, xa, mark, T, rng, budget)
-    mean = float(np.mean(h))
-    m2 = float(np.sum((h - mean) ** 2))
-    return _BatchStats(n=batch_size, mean=mean, m2=m2,
-                       sum_particles=int(np.sum(particles)),
-                       max_particles=int(np.max(particles)))
+    skeleton = _grow_skeleton(model, t, mark, T, batch_size, rng, budget)
+    sum_particles = int(np.sum(skeleton.particles))
+    max_particles = int(np.max(skeleton.particles))
+    stats = []
+    for x in points:
+        h = _evaluate(model, skeleton, x)
+        mean = float(np.mean(h))
+        m2 = float(np.sum((h - mean) ** 2))
+        stats.append(_BatchStats(n=batch_size, mean=mean, m2=m2,
+                                 sum_particles=sum_particles,
+                                 max_particles=max_particles))
+    return stats
 
 
 def _batch_stats_safe(args):
@@ -310,13 +383,88 @@ def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
                        max_particles=max(a.max_particles, b.max_particles))
 
 
+def _merge_batches(results) -> list:
+    """Per-point totals over the batches' per-point stats, in batch order."""
+    totals = None
+    for res in results:
+        if isinstance(res, str):
+            raise BudgetExceededError(
+                res, completed_trees=0 if totals is None else totals[0].n)
+        totals = res if totals is None else list(map(_merge, totals, res))
+    return totals
+
+
+def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
+                     budget, start) -> list:
+    """One EstimatorResult per row of ``points``, all from the same trees.
+
+    Batches are grown one at a time (or one per pool job) and merged per
+    point in batch order, so the results do not depend on ``workers``.
+    """
+    sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
+    if n_trees % BATCH_TREES:
+        sizes.append(n_trees % BATCH_TREES)
+    jobs = [(model, t, points, mark, T, master_seed, b, size, budget)
+            for b, size in enumerate(sizes)]
+    if workers == 1 or len(jobs) == 1:
+        totals = _merge_batches(map(_batch_stats_safe, jobs))
+    else:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            totals = _merge_batches(pool.map(_batch_stats_safe, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    elapsed = time.perf_counter() - start
+    results = []
+    for total in totals:
+        stderr = float(np.sqrt(total.m2 / (total.n - 1) / total.n))
+        half = 1.959964 * stderr
+        results.append(EstimatorResult(
+            mean=total.mean, stderr=stderr,
+            ci95=(total.mean - half, total.mean + half), n_trees=total.n,
+            elapsed=elapsed, mean_tree_size=total.sum_particles / total.n,
+            max_tree_size=total.max_particles))
+    return results
+
+
+class Grid:
+    """The points of one sweep, a (G, d) array, whose estimates share their
+    trees.
+
+    Pass the same Grid to ``estimate(..., grid=...)`` at each of its points.
+    The first call grows every batch once, evaluates it at all points and
+    keeps the results here; the calls that follow with the same model and
+    run parameters return their point's result without growing anything.
+    """
+
+    def __init__(self, points):
+        self.points = np.array(points, dtype=float)
+        if self.points.ndim != 2:
+            raise DomainError("grid points must form a (G, d) array, got "
+                              f"shape {self.points.shape}")
+        self._model = None      # the model and run parameters of _results
+        self._run = None
+        self._results = None
+
+    def _index(self, x) -> int:
+        hits = np.flatnonzero(np.all(self.points == x, axis=1))
+        if not hits.size:
+            raise DomainError(f"x={x} is not a point of the grid")
+        return int(hits[0])
+
+
 def estimate(model: PdeModel, t: float, x, mark: int, T: float,
              n_trees: int, master_seed: int = 0, workers: int = 1,
-             budget: TreeBudget = DEFAULT_BUDGET) -> EstimatorResult:
+             budget: TreeBudget = DEFAULT_BUDGET,
+             grid: Grid | None = None) -> EstimatorResult:
     """Monte Carlo estimate of u(t,x) (mark 0) or du/dx_mark(t,x).
 
     Trees are grown in fixed-size batches with one random stream per batch, so
-    the result is bit-identical for any ``workers`` at a fixed seed.
+    the result is bit-identical for any ``workers`` at a fixed seed.  With a
+    ``grid`` holding x, all of the grid's points are estimated from the same
+    trees on the first call, and later calls return the stored results (their
+    ``elapsed`` is the time of the whole grid).
     """
     if n_trees < 2:
         raise DomainError(f"n_trees must be >= 2, got {n_trees}")
@@ -324,46 +472,29 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
         raise DomainError(f"workers must be >= 1, got {workers}")
     _validate_point(model, t, x, mark, T)
     start = time.perf_counter()
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
 
     if t == T:
-        value = float(model.terminal.phi(np.atleast_2d(
-            np.asarray(x, dtype=float)))[0])
+        value = float(model.terminal.phi(xa[None, :])[0])
         return EstimatorResult(mean=value, stderr=0.0, ci95=(value, value),
                                n_trees=n_trees,
                                elapsed=time.perf_counter() - start,
                                mean_tree_size=1.0, max_tree_size=1)
 
-    sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
-    if n_trees % BATCH_TREES:
-        sizes.append(n_trees % BATCH_TREES)
-    jobs = [(model, t, np.asarray(x, dtype=float), mark, T, master_seed, b,
-             size, budget) for b, size in enumerate(sizes)]
-
-    if workers == 1 or len(jobs) == 1:
-        results = map(_batch_stats_safe, jobs)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_batch_stats_safe, jobs, chunksize=1))
-        finally:
-            pool.shutdown()
-
-    total = None
-    completed = 0
-    for res in results:
-        if isinstance(res, str):
-            raise BudgetExceededError(res, completed_trees=completed)
-        total = res if total is None else _merge(total, res)
-        completed = total.n
-
-    variance = total.m2 / (total.n - 1) if total.n > 1 else 0.0
-    stderr = float(np.sqrt(variance / total.n))
-    half = 1.959964 * stderr
-    return EstimatorResult(mean=total.mean, stderr=stderr,
-                           ci95=(total.mean - half, total.mean + half),
-                           n_trees=total.n, elapsed=time.perf_counter() - start,
-                           mean_tree_size=total.sum_particles / total.n,
-                           max_tree_size=total.max_particles)
+    if grid is None:
+        return _estimate_points(model, t, xa[None, :], mark, T, n_trees,
+                                master_seed, workers, budget, start)[0]
+    index = grid._index(xa)
+    run = (t, mark, T, n_trees, master_seed, budget)
+    if grid._model is not model or grid._run != run:
+        grid._model = grid._run = grid._results = None
+        for point in grid.points:
+            _validate_point(model, t, point, mark, T)
+        grid._results = _estimate_points(model, t, grid.points, mark, T,
+                                         n_trees, master_seed, workers,
+                                         budget, start)
+        grid._model, grid._run = model, run
+    return grid._results[index]
 
 
 def estimate_gradient_all(model: PdeModel, t: float, x, T: float,

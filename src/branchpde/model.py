@@ -224,8 +224,12 @@ class LifetimeDensity:
             raise DomainError(f"gamma shape must be positive, got {self.delta}")
 
     def rho(self, s):
+        """The density; at s = 0 with delta < 1 it is the +inf limit, so an
+        interior factor c / (q rho) there is exactly 0."""
         s = np.asarray(s, dtype=float)
-        return s ** (self.delta - 1.0) * np.exp(-s) / gamma_fn(self.delta)
+        with np.errstate(divide="ignore", over="ignore"):
+            power = s ** (self.delta - 1.0)
+        return power * np.exp(-s) / gamma_fn(self.delta)
 
     def survival(self, z):
         return upper_reg_gamma(self.delta, z)

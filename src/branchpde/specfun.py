@@ -199,15 +199,32 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
 
 def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
                     rel_tol: float = 1e-12, max_terms: int = 100_000) -> np.ndarray:
-    term = np.ones_like(z)
-    total = np.ones_like(z)
+    """Sums each element until a checked term is below ``rel_tol`` times its
+    running total.  Convergence is checked every 8 terms and a converged
+    element leaves the working set at once, so its value depends on its own
+    z only, never on the other elements sharing the call."""
+    z = np.asarray(z, dtype=float)
+    out = np.ones_like(z)
+    flat = out.reshape(-1)
+    todo = np.arange(flat.size)
+    zt = z.reshape(-1)
+    term = np.ones_like(zt)
+    total = np.ones_like(zt)
     for n in range(max_terms):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+        if not todo.size:
+            return out
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * zt
         total += term
-        if np.all(np.abs(term) <= rel_tol * np.maximum(np.abs(total), 1e-300)):
-            return total
+        if n % 8 == 7:
+            done = np.abs(term) <= rel_tol * np.maximum(np.abs(total), 1e-300)
+            if np.any(done):
+                flat[todo[done]] = total[done]
+                going = ~done
+                todo, zt, term, total = (todo[going], zt[going], term[going],
+                                         total[going])
+    flat[todo] = total
     raise AccuracyError("vectorized 2F1 series did not converge",
-                        partial=total, bound=float(np.max(np.abs(term))))
+                        partial=out, bound=float(np.max(np.abs(term))))
 
 
 def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:

@@ -1,13 +1,17 @@
 import contextlib
 import dataclasses
+import json
 import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from branchpde.engine import (BATCH_TREES, EstimatorResult, TreeBudget,
-                              _grow_batch, estimate, estimate_gradient_all,
+from branchpde.cli import EXIT_BUDGET, main
+from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
+                              EstimatorResult, TreeBudget, _evaluate,
+                              _grow_skeleton, estimate, estimate_gradient_all,
                               grow_tree, resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError)
@@ -98,6 +102,17 @@ class TestUnbiasedness:
         assert abs(res.mean - exact) < 3.5 * res.stderr
         assert res.stderr < 0.02
 
+    def test_zero_lifetimes_raise_no_warning(self):
+        # Gamma(0.01) lifetimes are exactly 0.0 about once in 2,000 draws;
+        # rho(0) is then the +inf limit and the interior factor exactly 0
+        model = builtin_model("linear-test", alpha=1.5, c=1.0, delta=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.lifetime.rho(np.zeros(1))[0] == math.inf
+            res = estimate(model, 0.9, np.zeros(1), 0, 1.0, n_trees=20_000,
+                           master_seed=1)
+        assert math.isfinite(res.mean) and res.mean_tree_size > 5.0
+
     def test_derivative_weight_mean_zero(self):
         # a constant terminal has zero derivative, so the marked estimator's
         # mean must vanish
@@ -147,8 +162,8 @@ class TestDeterminism:
 
 class TestTreeSizeOracle:
     def test_volterra_particle_count(self):
-        """Without pruning, the expected total particle count g(tau) over a
-        remaining horizon tau solves the renewal-type equation
+        """The expected total particle count g(tau) over a remaining horizon
+        tau solves the renewal-type equation
 
             g(tau) = 1 + mu * int_0^tau rho(s) g(tau - s) ds,
 
@@ -167,21 +182,24 @@ class TestTreeSizeOracle:
 
         rng = RngStream(21, 0)
         n = 100_000
-        x = np.zeros((n, 1))
-        _, particles, _, _ = _grow_batch(model, 1.0 - tau_max, x, 0, 1.0, rng,
-                                         TreeBudget(), prune_dead=False)
+        particles = _grow_skeleton(model, 1.0 - tau_max, 0, 1.0, n, rng,
+                                   TreeBudget()).particles
         emp = particles.mean()
         se = particles.std(ddof=1) / math.sqrt(n)
         assert abs(emp - g[-1]) < 4.0 * se
 
     def test_pruning_only_shrinks_counts(self):
+        """Skipping the particles of trees whose product is already zero
+        leaves every tree value unchanged."""
         model = builtin_model("nld", d=1, alpha=1.5, k=1)
-        full = grow_tree(model, 0.2, np.zeros(1), 0, 1.0, RngStream(3, 0),
-                         prune_dead=False)
-        pruned = grow_tree(model, 0.2, np.zeros(1), 0, 1.0, RngStream(3, 0),
-                           prune_dead=True)
-        assert pruned.h_value == full.h_value
-        assert pruned.particles_total <= full.particles_total
+        skeleton = _grow_skeleton(model, 0.2, 0, 1.0, 5_000, RngStream(3, 0),
+                                  TreeBudget())
+        for x1 in (0.0, 0.8, 1.3):
+            x = np.array([x1])
+            pruned = _evaluate(model, skeleton, x)
+            full = _evaluate(model, skeleton, x, skip_dead=False)
+            assert np.array_equal(pruned, full)
+            assert np.any(pruned == 0.0)
 
 
 class TestBudgets:
@@ -202,6 +220,21 @@ class TestBudgets:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             TreeBudget(max_particles=0)
+
+    def test_batch_particle_ceiling(self, tmp_path, capsys):
+        # Gamma(0.01) lifetimes give a linear-test tree about 100 particles
+        # per 0.5 of horizon, so over T - t = 4 one 25k-tree batch would
+        # store ~2e7, ten times the ceiling, while no single tree comes near
+        # the per-tree budget
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": "linear-test", "delta": 0.01, "t": 0.0, "T": 4.0,
+            "n_trees": BATCH_TREES}))
+        with _deadline(30.0):
+            code = main(["estimate", "--config", str(cfg)])
+        assert code == EXIT_BUDGET
+        assert f"more than {MAX_BATCH_PARTICLES} particles" in \
+            capsys.readouterr().err
 
 
 class TestValidation:
