@@ -5,9 +5,8 @@ from .bernstein import (BetaRatio, LaplaceExponent, LogCorrected, Relativistic,
                         ScaledStable, Stable, StableWithDrift, SumOfStables,
                         check_integrability_cd, integrability_table,
                         neg_moment_numeric, neg_moment_stable)
-from .engine import (EstimatorResult, Grid, TreeBudget, TreeOutcome,
-                     estimate, estimate_gradient_all, grow_tree,
-                     sample_subordinated_increment)
+from .engine import (EstimatorResult, Grid, TreeBudget, estimate,
+                     estimate_gradient_all, sample_subordinated_increment)
 from .errors import (AccuracyError, AdmissibilityError, BranchPdeError,
                      BudgetExceededError, ConfigError,
                      DegenerateDerivativeError, DimensionError,
@@ -23,8 +22,7 @@ from .model import (BranchingLaw, LifetimeDensity, PdeModel,
                     uniform_branching)
 from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
-from .specfun import (EvalPolicy, gamma_fn, hyp2f1, phi_bump, psi_getoor,
-                      upper_reg_gamma)
+from .specfun import gamma_fn, hyp2f1, phi_bump, psi_getoor, upper_reg_gamma
 
 __version__ = "0.1.0"
 

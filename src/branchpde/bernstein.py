@@ -268,14 +268,13 @@ def neg_moment_stable(p: float, alpha: float, t: float) -> float:
 
 def laplace_power_integral(eta: LaplaceExponent, t: float, q: float,
                            rel_tol: float) -> float:
-    """int_0^inf exp(-t eta(l)) l^(q-1) dl by split quadrature.
+    """int_0^inf exp(-t eta(l)) l^(q-1) dl by split quadrature in u = log l.
 
     Bisects (geometrically, on [1e-12, 1e14]) for the scale where t eta = 1,
-    integrates the head directly and the tail over 80 e-folds in log space.
+    then integrates exp(-t eta(l) + q log l) du over the head (-inf, u*] and
+    over 80 e-folds of tail; in u the l^(q-1) singularity at 0 is a smooth
+    exponential decay.
     """
-    def integrand(lam):
-        return math.exp(-t * float(eta(lam))) * lam ** (q - 1.0)
-
     lo, hi = 1e-12, 1e14
     for _ in range(200):
         mid = math.sqrt(lo * hi)
@@ -283,13 +282,15 @@ def laplace_power_integral(eta: LaplaceExponent, t: float, q: float,
             lo = mid
         else:
             hi = mid
-    lam_star = math.sqrt(lo * hi)
+    u_star = math.log(math.sqrt(lo * hi))
 
-    head, _ = _integrate.quad(integrand, 0.0, lam_star,
+    def integrand(u):
+        return math.exp(q * u - t * float(eta(math.exp(u))))
+
+    head, _ = _integrate.quad(integrand, -math.inf, u_star,
                               epsabs=0.0, epsrel=rel_tol, limit=400)
-    tail, _ = _integrate.quad(lambda u: integrand(lam_star * math.exp(u))
-                              * lam_star * math.exp(u),
-                              0.0, 80.0, epsabs=1e-300, epsrel=rel_tol, limit=400)
+    tail, _ = _integrate.quad(integrand, u_star, u_star + 80.0,
+                              epsabs=1e-300, epsrel=rel_tol, limit=400)
     return head + tail
 
 

@@ -32,6 +32,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,14 +60,6 @@ class TreeBudget:
 
 
 DEFAULT_BUDGET = TreeBudget()
-
-
-@dataclass(frozen=True)
-class TreeOutcome:
-    h_value: float
-    particles_total: int
-    leaves: int
-    max_gen: int
 
 
 @dataclass(frozen=True)
@@ -158,8 +151,6 @@ class _Skeleton:
 
     levels: tuple
     particles: np.ndarray     # (n_batch,) particles per tree
-    leaves: np.ndarray
-    max_gen: np.ndarray
 
 
 def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
@@ -175,8 +166,6 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     child_counts, child_marks, mark_offsets = _offspring_layout(model)
 
     particles = np.ones(n, dtype=np.int64)
-    leaves = np.zeros(n, dtype=np.int64)
-    max_gen = np.ones(n, dtype=np.int64)
 
     # active particle state
     tree = np.arange(n, dtype=np.int64)
@@ -200,16 +189,19 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
             rng, size=tree.size)
         end = disp + dx
 
+        # W = dx_theta / ds; a zero lifetime moves nothing (ds = dx = 0) and
+        # its interior factor is 0 (rho(0) = inf), so W = 0 there, not 0/0
         w = np.ones(tree.size)
         marked = marks > 0
         if np.any(marked):
-            w[marked] = dx[marked, marks[marked] - 1] / ds[marked]
+            ds_m = ds[marked]
+            w[marked] = np.divide(dx[marked, marks[marked] - 1], ds_m,
+                                  out=np.zeros_like(ds_m), where=ds_m > 0.0)
 
         den = np.empty(tree.size)
         leaf_rows = np.flatnonzero(leaf)
         if leaf_rows.size:
             den[leaf_rows] = lifetime.survival(T - birth[leaf_rows])
-            leaves += np.bincount(tree[leaf_rows], minlength=n)
         marked_leaf_rows = np.flatnonzero(leaf & marked)
 
         int_rows = np.flatnonzero(~leaf)
@@ -248,10 +240,8 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
         disp = np.repeat(end[parent_rows], kid_counts, axis=0)
         particles += np.bincount(tree, minlength=n)
         gen += 1
-        max_gen[tree] = gen
 
-    return _Skeleton(levels=tuple(levels), particles=particles, leaves=leaves,
-                     max_gen=max_gen)
+    return _Skeleton(levels=tuple(levels), particles=particles)
 
 
 def _evaluate(model: PdeModel, skeleton: _Skeleton, x: np.ndarray,
@@ -316,23 +306,6 @@ def _evaluate(model: PdeModel, skeleton: _Skeleton, x: np.ndarray,
     return h
 
 
-def grow_tree(model: PdeModel, t: float, x, mark: int, T: float,
-              rng: RngStream, budget: TreeBudget = DEFAULT_BUDGET) -> TreeOutcome:
-    """One unbiased sample of H_phi for a tree rooted at (t, x) with the
-    given mark."""
-    _validate_point(model, t, x, mark, T)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == T:
-        return TreeOutcome(h_value=float(model.terminal.phi(xa[None, :])[0]),
-                           particles_total=1, leaves=1, max_gen=1)
-    skeleton = _grow_skeleton(model, t, mark, T, 1, rng, budget)
-    h = _evaluate(model, skeleton, xa)
-    return TreeOutcome(h_value=float(h[0]),
-                       particles_total=int(skeleton.particles[0]),
-                       leaves=int(skeleton.leaves[0]),
-                       max_gen=int(skeleton.max_gen[0]))
-
-
 def _validate_point(model, t, x, mark, T):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if xa.shape != (model.d,):
@@ -366,13 +339,6 @@ def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
     return stats
 
 
-def _batch_stats_safe(args):
-    try:
-        return _batch_stats(*args)
-    except BudgetExceededError as exc:
-        return str(exc)
-
-
 def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
     n = a.n + b.n
     delta = b.mean - a.mean
@@ -384,13 +350,18 @@ def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
 
 
 def _merge_batches(results) -> list:
-    """Per-point totals over the batches' per-point stats, in batch order."""
+    """Per-point totals over the batches' per-point stats, in batch order.
+
+    A batch that aborts raises here, carrying the count of trees merged
+    before it.
+    """
     totals = None
-    for res in results:
-        if isinstance(res, str):
-            raise BudgetExceededError(
-                res, completed_trees=0 if totals is None else totals[0].n)
-        totals = res if totals is None else list(map(_merge, totals, res))
+    try:
+        for res in results:
+            totals = res if totals is None else list(map(_merge, totals, res))
+    except BudgetExceededError as exc:
+        exc.completed_trees = 0 if totals is None else totals[0].n
+        raise
     return totals
 
 
@@ -404,14 +375,14 @@ def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
     sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
     if n_trees % BATCH_TREES:
         sizes.append(n_trees % BATCH_TREES)
-    jobs = [(model, t, points, mark, T, master_seed, b, size, budget)
-            for b, size in enumerate(sizes)]
-    if workers == 1 or len(jobs) == 1:
-        totals = _merge_batches(map(_batch_stats_safe, jobs))
+    batch = partial(_batch_stats, model, t, points, mark, T, master_seed,
+                    budget=budget)
+    if workers == 1 or len(sizes) == 1:
+        totals = _merge_batches(map(batch, range(len(sizes)), sizes))
     else:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            totals = _merge_batches(pool.map(_batch_stats_safe, jobs))
+            totals = _merge_batches(pool.map(batch, range(len(sizes)), sizes))
         finally:
             pool.shutdown(cancel_futures=True)
 

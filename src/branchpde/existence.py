@@ -31,7 +31,7 @@ from scipy import integrate as _integrate
 from .bernstein import (LaplaceExponent, check_integrability_cd,
                         laplace_power_integral)
 from .errors import AdmissibilityError, DomainError, NotLipschitzError
-from .model import PdeModel
+from .model import LifetimeDensity, PdeModel
 from .specfun import gamma_fn, upper_reg_gamma
 
 _SLOPE_GUARD = 0.01
@@ -69,14 +69,13 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
     """
     if delta <= 0.0 or p < 1.0 or T <= 0.0:
         raise DomainError("require delta > 0, p >= 1, T > 0")
-    gd = gamma_fn(delta)
+    rho = LifetimeDensity(delta).rho
 
     e_rho = (1.0 - delta) * (p - 1.0)
     cond_rho = e_rho > -1.0
     if cond_rho:
-        rho_integral, _ = _integrate.quad(
-            lambda s: (s ** (delta - 1.0) * math.exp(-s) / gd) ** (1.0 - p),
-            0.0, T, epsrel=1e-9, limit=200)
+        rho_integral, _ = _integrate.quad(lambda s: rho(s) ** (1.0 - p),
+                                          0.0, T, epsrel=1e-9, limit=200)
     else:
         rho_integral = math.inf
 
@@ -84,7 +83,7 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
     s_grid = np.geomspace(1e-6, min(T, 1e-2), 8)
     vals = np.array([
         laplace_power_integral(eta, s, p / 2.0, rel_tol=1e-9)
-        * (s ** (delta - 1.0) * math.exp(-s) / gd) ** (1.0 - p)
+        * rho(s) ** (1.0 - p)
         for s in s_grid])
     slope = float(np.polyfit(np.log(s_grid), np.log(vals), 1)[0])
     inconclusive = bool(abs(slope + 1.0) <= _SLOPE_GUARD)
@@ -121,28 +120,39 @@ def _c_partial(model: PdeModel, p: float, paper_literal: bool) -> float:
                m_p * lip ** p * math.sqrt(model.d))
 
 
-def horizon_bound_a(model: PdeModel, p: float, T: float,
-                    paper_literal: bool = False):
-    """Route a: (C_circ, C_partial / survival(T)^p, certified)."""
+def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
+    """C_circ (e = p) or C_tilde (e = p - 1), after validating p, T and alpha:
+
+        (sup_l |c_l| / q_min)^e * max(M kappa^(-p/a) sup s^(-p/a) / rho^e(s),
+                                      sup 1 / rho^e(s)),
+
+    with M the stable negative-moment constant and the sups over (0, T].
+    """
     if p < 1.0 or T <= 0.0:
         raise DomainError("require p >= 1 and T > 0")
     alpha = model.alpha
     if not 1.0 < alpha <= 2.0:
         raise AdmissibilityError("horizon bounds require alpha in (1, 2]")
     delta = model.lifetime.delta
+    scale = gamma_fn(delta) ** e
+    sup1 = _gamma_sup(e * (1.0 - delta) - p / alpha, e, scale, T)
+    sup2 = _gamma_sup(e * (1.0 - delta), e, scale, T)
+    kappa_scale = model.kappa ** (-p / alpha)
+    sup_c = max(model.nonlinearity.coeff_sup)
+    q_min = model.branching.q_min
+    return (sup_c ** e / q_min ** e
+            * max(_stable_moment_const(p, alpha) * kappa_scale * sup1, sup2))
+
+
+def horizon_bound_a(model: PdeModel, p: float, T: float,
+                    paper_literal: bool = False):
+    """Route a: (C_circ, C_partial / survival(T)^p, certified)."""
+    c_circ = _route_constant(model, p, p, T)
+    alpha, delta = model.alpha, model.lifetime.delta
     if delta > 1.0 - 1.0 / alpha:
         raise AdmissibilityError(
             f"route a needs delta <= 1 - 1/alpha = {1.0 - 1.0 / alpha:.6g}, "
             f"got {delta}")
-    gd = gamma_fn(delta)
-    # sup s^(-p/alpha) / rho^p  and  sup 1 / rho^p on (0, T]
-    sup1 = _gamma_sup(p * (1.0 - delta - 1.0 / alpha), p, gd ** p, T)
-    sup2 = _gamma_sup(p * (1.0 - delta), p, gd ** p, T)
-    kappa_scale = model.kappa ** (-p / alpha)
-    sup_c = max(model.nonlinearity.coeff_sup)
-    q_min = model.branching.q_min
-    c_circ = (sup_c ** p / q_min ** p
-              * max(_stable_moment_const(p, alpha) * kappa_scale * sup1, sup2))
     ratio = _c_partial(model, p, paper_literal) / upper_reg_gamma(delta, T) ** p
     return c_circ, ratio, (c_circ <= 1.0 and ratio <= 1.0)
 
@@ -154,21 +164,8 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
     When max |l| <= 1 the tail integral diverges, so the bound is infinite and
     every T certifies regardless of C_tilde.
     """
-    if p < 1.0 or T <= 0.0:
-        raise DomainError("require p >= 1 and T > 0")
-    alpha = model.alpha
-    if not 1.0 < alpha <= 2.0:
-        raise AdmissibilityError("horizon bounds require alpha in (1, 2]")
-    delta = model.lifetime.delta
-    gd = gamma_fn(delta)
     r = p - 1.0
-    sup1 = _gamma_sup(-p / alpha + r * (1.0 - delta), r, gd ** r, T)
-    sup2 = _gamma_sup(r * (1.0 - delta), r, gd ** r, T)
-    kappa_scale = model.kappa ** (-p / alpha)
-    sup_c = max(model.nonlinearity.coeff_sup)
-    q_min = model.branching.q_min
-    c_tilde = (sup_c ** r / q_min ** r
-               * max(_stable_moment_const(p, alpha) * kappa_scale * sup1, sup2))
+    c_tilde = _route_constant(model, p, r, T)
 
     orders = [sum(l) for l in model.nonlinearity.indices]
     sups = list(model.nonlinearity.coeff_sup)
@@ -178,7 +175,8 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
     if not math.isfinite(c_tilde):
         return c_tilde, 0.0, False
 
-    a_lo = _c_partial(model, p, paper_literal) / upper_reg_gamma(delta, T) ** r
+    a_lo = (_c_partial(model, p, paper_literal)
+            / upper_reg_gamma(model.lifetime.delta, T) ** r)
 
     def denom(xv):
         return sum(c * xv ** o for c, o in zip(sups, orders))

@@ -11,29 +11,11 @@ its support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sps
 
 from .errors import AccuracyError, DomainError
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Truncation control for series evaluation."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise DomainError(f"max_terms must be >= 100, got {self.max_terms}")
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 
 def gamma_fn(p: float) -> float:
@@ -77,69 +59,31 @@ def _is_nonpos_int(v: float) -> bool:
     return v <= 0.0 and v == math.floor(v)
 
 
-def _series_2f1(a: float, b: float, c: float, z: float, policy: EvalPolicy) -> float:
-    """Raw power series sum_(n>=0) (a)_n (b)_n / ((c)_n n!) z^n."""
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    for n in range(policy.max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        if abs(term) <= policy.rel_tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise AccuracyError(
-        f"2F1 series did not converge within {policy.max_terms} terms "
-        f"(a={a}, b={b}, c={c}, z={z})",
-        partial=total,
-        bound=abs(term),
-    )
-
-
-def _terminating_2f1(a: float, k: int, c: float, z: float) -> float:
-    """Finite sum for 2F1(a, -k; c; z) with k a non-negative integer."""
-    term = 1.0
-    total = 1.0
-    for n in range(k):
-        term *= (a + n) * (-k + n) / ((c + n) * (n + 1)) * z
-        total += term
-    return total
-
-
-def hyp2f1(a: float, b: float, c: float, z: float,
-           policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real arguments, z in [-1, 1].
 
-    Terminating cases (b a non-positive integer, or a by symmetry) are summed
-    exactly.  Otherwise: direct series for |z| <= 0.9, Euler transformation
-    (1-z)^(c-a-b) 2F1(c-a, c-b; c; z) for z in (0.9, 1), and the Gauss
-    summation formula at z = 1 (requires c - a - b > 0).
+    A terminating series (a or b a non-positive integer) is a polynomial and
+    takes any z.  Otherwise z = 1 is the Gauss summation formula (requires
+    c - a - b > 0), and every other z goes through the vectorised core.
     """
     for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
         if not math.isfinite(v):
             raise DomainError(f"hyp2f1: non-finite argument {name}={v}")
     if _is_nonpos_int(c):
         raise DomainError(f"hyp2f1: c must not be a non-positive integer, got c={c}")
-    if _is_nonpos_int(a) and not _is_nonpos_int(b):
-        a, b = b, a
-    if _is_nonpos_int(b):
-        return _terminating_2f1(a, int(-b), c, z)
-    if z == 0.0:
-        return 1.0
-    if z == 1.0:
-        s = c - a - b
-        if s <= 0.0:
-            raise DomainError(f"hyp2f1 diverges at z=1 when c-a-b <= 0 (got {s})")
-        return (gamma_fn(c) * gamma_fn(s)
-                / (gamma_reflected(c - a) * gamma_reflected(c - b)))
-    if not -1.0 <= z < 1.0:
-        raise DomainError(f"hyp2f1: z must lie in [-1, 1], got {z}")
-    if z > 0.9:
-        return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, policy)
-    return _series_2f1(a, b, c, z, policy)
+    if not (_is_nonpos_int(a) or _is_nonpos_int(b)):
+        if z == 0.0:
+            return 1.0
+        if z == 1.0:
+            s = c - a - b
+            if s <= 0.0:
+                raise DomainError(
+                    f"hyp2f1 diverges at z=1 when c-a-b <= 0 (got {s})")
+            return (gamma_fn(c) * gamma_fn(s)
+                    / (gamma_reflected(c - a) * gamma_reflected(c - b)))
+        if not -1.0 <= z < 1.0:
+            raise DomainError(f"hyp2f1: z must lie in [-1, 1], got {z}")
+    return float(_hyp2f1_vec(a, b, c, np.array([z]))[0])
 
 
 def phi_bump(k: int, alpha: float, x) -> float:
@@ -191,10 +135,9 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation of Psi.  Interior (|x| <= 1) the series terminates
-# after k+1 terms; the exterior branch keeps the signed Gamma(-a/2) factor and
-# switches to the 1-z connection formula near z = 1/|x|^2 = 1, where the
-# direct series would need O(1/(1-z)) terms.
+# The vectorised 2F1 core.  A terminating series is summed term by term; near
+# z = 1 the 1 - z connection formula replaces the direct series, which would
+# need O(1/(1 - z)) terms.
 # ---------------------------------------------------------------------------
 
 def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
@@ -223,15 +166,18 @@ def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
                 todo, zt, term, total = (todo[going], zt[going], term[going],
                                          total[going])
     flat[todo] = total
-    raise AccuracyError("vectorized 2F1 series did not converge",
-                        partial=out, bound=float(np.max(np.abs(term))))
+    raise AccuracyError(
+        f"2F1 series did not converge within {max_terms} terms "
+        f"(a={a}, b={b}, c={c})",
+        partial=out, bound=float(np.max(np.abs(term))))
 
 
 def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1 at z close to 1 via the connection formula in w = 1 - z.
 
-    Requires c - a - b non-integer, which holds for the exterior branch
-    (c - a - b = k - alpha/2 with alpha in (0, 2)).
+    Requires c - a - b non-integer and no Gamma pole among c - a, c - b, a
+    and b; the exterior branch of Psi has c - a - b = k - alpha/2 with alpha
+    in (0, 2).
     """
     w = 1.0 - z
     s = c - a - b
@@ -243,37 +189,53 @@ def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndar
     return coef1 * f1 + coef2 * w ** s * f2
 
 
+def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; z) at every element of z, c not a non-positive integer.
+
+    Terminating (a or b a non-positive integer): the finite sum, for any z.
+    Otherwise z must lie in [-1, 1): the connection formula above z = 0.9
+    when c - a - b is not an integer and neither c - a nor c - b is a
+    non-positive integer, the direct series everywhere else.
+    """
+    z = np.asarray(z, dtype=float)
+    if _is_nonpos_int(a) and not _is_nonpos_int(b):
+        a, b = b, a
+    if _is_nonpos_int(b):
+        term = np.ones_like(z)
+        total = np.ones_like(z)
+        for n in range(int(-b)):
+            term = term * ((a + n) * (b + n) / ((c + n) * (n + 1)) * z)
+            total = total + term
+        return total
+    s = c - a - b
+    connect = not (s == round(s) or _is_nonpos_int(c - a)
+                   or _is_nonpos_int(c - b))
+    near = (z > 0.9) & connect
+    out = np.empty_like(z)
+    if np.any(near):
+        out[near] = _hyp2f1_near_one_vec(a, b, c, z[near])
+    if not np.all(near):
+        out[~near] = _series_2f1_vec(a, b, c, z[~near])
+    return out
+
+
 def psi_getoor_batch(k: int, alpha: float, d: int, r2: np.ndarray) -> np.ndarray:
-    """Vectorized psi_getoor over squared radii r2 = |x|^2 (any shape)."""
+    """Vectorized psi_getoor over squared radii r2 = |x|^2 (any shape).
+
+    Interior (|x| <= 1) the 2F1 terminates after k + 1 terms; the exterior
+    branch keeps the signed Gamma(-a/2) factor.
+    """
     r2 = np.asarray(r2, dtype=float)
     out = np.empty_like(r2)
+    a = (d + alpha) / 2.0
     inside = r2 <= 1.0
     if np.any(inside):
-        a = (d + alpha) / 2.0
-        c = d / 2.0
-        coefs = [_psi_interior_coef(k, alpha, d)]
-        term = coefs[0]
-        for n in range(k):
-            term *= (a + n) * (-k + n) / ((c + n) * (n + 1.0))
-            coefs.append(term)
-        zi = r2[inside]
-        acc = np.full_like(zi, coefs[-1])
-        for cf in coefs[-2::-1]:
-            acc = acc * zi + cf
-        out[inside] = acc
+        out[inside] = (_psi_interior_coef(k, alpha, d)
+                       * _hyp2f1_vec(a, -k, d / 2.0, r2[inside]))
     outside = ~inside
     if np.any(outside):
         ro = r2[outside]
-        z = 1.0 / ro
-        a = (d + alpha) / 2.0
-        b = (2.0 + alpha) / 2.0
-        c = k + 1.0 + (d + alpha) / 2.0
-        f = np.empty_like(z)
-        near = z > 0.9
-        if np.any(near):
-            f[near] = _hyp2f1_near_one_vec(a, b, c, z[near])
-        if np.any(~near):
-            f[~near] = _series_2f1_vec(a, b, c, z[~near])
-        out[outside] = (_psi_exterior_coef(k, alpha, d)
-                        * ro ** (-(d + alpha) / 2.0) * f)
+        out[outside] = (_psi_exterior_coef(k, alpha, d) * ro ** (-a)
+                        * _hyp2f1_vec(a, (2.0 + alpha) / 2.0, k + 1.0 + a,
+                                      1.0 / ro))
     return out

@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
                               EstimatorResult, TreeBudget, _evaluate,
                               _grow_skeleton, estimate, estimate_gradient_all,
-                              grow_tree, resolve_workers)
+                              resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError)
 from branchpde.model import (ClippedCoordinate, ConstantCoefficient,
@@ -62,11 +63,6 @@ class TestTerminalShortCircuit:
         assert res.stderr == 0.0 and res.ci95 == (res.mean, res.mean)
         assert res.max_tree_size == 1
 
-    def test_grow_tree_at_horizon(self):
-        model = builtin_model("linear-test")
-        out = grow_tree(model, 1.0, np.zeros(1), 0, 1.0, RngStream(0, 0))
-        assert out.h_value == 1.0 and out.particles_total == 1
-
     def test_derivative_at_horizon_degenerate(self):
         model = builtin_model("gradd", d=2, alpha=1.5, k=1)
         with pytest.raises(DegenerateDerivativeError):
@@ -112,6 +108,17 @@ class TestUnbiasedness:
             res = estimate(model, 0.9, np.zeros(1), 0, 1.0, n_trees=20_000,
                            master_seed=1)
         assert math.isfinite(res.mean) and res.mean_tree_size > 5.0
+
+    def test_zero_lifetime_derivative_weight(self):
+        # a marked particle with a zero Gamma(0.01) lifetime has ds = dx = 0;
+        # its weight is 0, not 0/0, and the estimate of du/dx = 0 is finite
+        model = builtin_model("linear-test", alpha=1.5, c=1.0, delta=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = estimate(model, 0.9, np.zeros(1), 1, 1.0, n_trees=20_000,
+                           master_seed=1)
+        assert math.isfinite(res.mean) and res.stderr > 0.0
+        assert abs(res.mean) < 4.0 * res.stderr
 
     def test_derivative_weight_mean_zero(self):
         # a constant terminal has zero derivative, so the marked estimator's
@@ -210,12 +217,24 @@ class TestBudgets:
                      budget=TreeBudget(max_generation=1))
         assert err.value.completed_trees == 0
 
-    def test_grow_tree_budget(self):
+    def test_two_generation_budget(self):
         model = builtin_model("nld", d=1, alpha=1.5, k=1)
         with pytest.raises(BudgetExceededError):
-            for i in range(50):
-                grow_tree(model, 0.0, np.zeros(1), 0, 1.0, RngStream(0, i),
-                          budget=TreeBudget(max_generation=2))
+            estimate(model, 0.0, np.zeros(1), 0, 1.0, n_trees=50,
+                     budget=TreeBudget(max_generation=2))
+
+    def test_abort_is_the_same_at_any_worker_count(self, monkeypatch):
+        # 10 batches of 100 trees; the second batch outgrows the budget
+        monkeypatch.setattr(engine, "BATCH_TREES", 100)
+        model = builtin_model("nld", d=1, alpha=1.5, k=1)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(BudgetExceededError) as err:
+                estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=1_000,
+                         workers=workers, budget=TreeBudget(max_generation=11))
+            errors.append((str(err.value), err.value.completed_trees))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 100
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from branchpde.bernstein import Stable, neg_moment_stable
+from branchpde.bernstein import Relativistic, Stable, neg_moment_stable
 from branchpde.errors import (AdmissibilityError, DomainError,
                               NotLipschitzError)
 from branchpde.existence import (HorizonReport, abs_gaussian_moment,
@@ -90,6 +91,17 @@ class TestTheorem2:
             0.0, T)
         chk = check_theorem2(Stable(alpha=1.5), delta=delta, p=p, T=T)
         assert chk.rho_integral == pytest.approx(exact, rel=1e-7)
+
+    def test_relativistic_quadrature_converges(self):
+        # eta grows like l^(alpha/2), so at p = 1 the inner integral of
+        # exp(-s eta) l^(-1/2) scales like s^(-1/alpha) as s -> 0
+        for delta in (0.3, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", integrate.IntegrationWarning)
+                chk = check_theorem2(Relativistic(alpha=1.5, m=1.0),
+                                     delta=delta, p=1.0, T=1.0)
+            assert chk.eta_exponent == pytest.approx(-1.0 / 1.5, abs=5e-3)
+            assert chk.cond_eta and not chk.inconclusive
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -6,9 +6,8 @@ from scipy import integrate
 from scipy import special
 
 from branchpde.errors import AccuracyError, DomainError
-from branchpde.specfun import (EvalPolicy, gamma_fn, gamma_reflected, hyp2f1,
-                               phi_bump, psi_getoor, psi_getoor_batch,
-                               upper_reg_gamma)
+from branchpde.specfun import (gamma_fn, gamma_reflected, hyp2f1, phi_bump,
+                               psi_getoor, psi_getoor_batch, upper_reg_gamma)
 
 
 class TestGamma:
@@ -94,17 +93,23 @@ class TestHyp2f1:
             hyp2f1(1.0, 1.0, 2.0, 1.5)
 
     def test_accuracy_error_carries_partial(self):
-        policy = EvalPolicy(rel_tol=1e-12, max_terms=100)
+        # at z = -1 the terms alternate with size ~ n^(-1/2), so the series
+        # runs to its term cap without meeting its tolerance
         with pytest.raises(AccuracyError) as err:
-            hyp2f1(3.0, 3.0, 1.1, 0.88, policy)
+            hyp2f1(1.0, 1.0, 1.5, -1.0)
         assert err.value.partial is not None
         assert err.value.bound is not None
 
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            EvalPolicy(rel_tol=0.5)
-        with pytest.raises(DomainError):
-            EvalPolicy(max_terms=10)
+    @pytest.mark.parametrize("a, b, c, z, rtol", [
+        (0.2, 0.3, 0.9, 0.999, 1e-12),   # connection formula
+        (1.3, 0.4, 2.1, 0.99, 1e-12),
+        (3.0, 3.0, 1.1, 0.95, 1e-12),
+        (0.5, 0.5, 2.0, 0.95, 1e-10),    # c - a - b integer: direct series
+        (2.0, 0.3, 1.0, 0.95, 1e-10),    # c - a = -1: direct series
+    ])
+    def test_matches_scipy(self, a, b, c, z, rtol):
+        assert hyp2f1(a, b, c, z) == pytest.approx(special.hyp2f1(a, b, c, z),
+                                                   rel=rtol)
 
 
 class TestPhiBump:
