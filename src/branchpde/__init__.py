@@ -11,8 +11,8 @@ from .errors import (AccuracyError, AdmissibilityError, BranchPdeError,
                      BudgetExceededError, ConfigError,
                      DegenerateDerivativeError, DimensionError,
                      DivergenceError, DomainError, EvaluationError,
-                     NotLipschitzError, ParseError, UnknownIdentifierError,
-                     UnknownModelError)
+                     NotLipschitzError, ParseError, ProductOverflowError,
+                     UnknownIdentifierError, UnknownModelError)
 from .existence import (HorizonReport, abs_gaussian_moment,
                         build_horizon_report, check_theorem2, horizon_bound_a,
                         horizon_bound_b)

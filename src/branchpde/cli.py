@@ -7,7 +7,7 @@ includes wall-clock times, so identical configs and seeds produce
 byte-identical files for any worker count.
 
 Exit codes: 0 success (or certified), 2 budget abort, 3 configuration error,
-4 uncertified horizon check.
+4 uncertified horizon check, 5 tree product overflow.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bernstein import ScaledStable
 from .engine import (DEFAULT_BUDGET, EstimatorResult, Grid, TreeBudget,
                      estimate, resolve_workers)
 from .errors import (AdmissibilityError, BranchPdeError, BudgetExceededError,
-                     ConfigError, UnknownModelError)
+                     ConfigError, ProductOverflowError, UnknownModelError)
 from .existence import build_horizon_report
 from .model import (BranchingLaw, ConstantCoefficient, ExpressionCoefficient,
                     ExpressionTerminal, LifetimeDensity, PdeModel,
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_CONFIG = 3
 EXIT_UNCERTIFIED = 4
+EXIT_OVERFLOW = 5
 
 
 def _fmt(value) -> str:
@@ -242,7 +243,7 @@ def cmd_sweep(cfg: dict) -> int:
             res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
                            workers=workers, budget=budget, grid=shared)
             rows.append((float(point[0]),) + _estimate_row(res)[:5])
-    except BudgetExceededError:
+    except (BudgetExceededError, ProductOverflowError):
         if out is not None and os.path.exists(out):
             os.remove(out)
         raise
@@ -336,6 +337,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ProductOverflowError as exc:
+        print(f"product overflow: {exc}", file=sys.stderr)
+        return EXIT_OVERFLOW
     except (ConfigError, UnknownModelError, AdmissibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

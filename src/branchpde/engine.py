@@ -19,9 +19,11 @@ value H is the product of all factors, and u(t,x) = E[H].
 Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
 is independent of the root position x, which enters only by translation.  So
 a batch of trees is grown once, level-synchronously and rooted at the origin,
-into a skeleton of per-particle displacements; evaluating it at a point reads
-phi and c_l at x + displacement and accumulates per-tree products as
-(sign, log|.|) pairs via bincount.  One skeleton serves every point of a
+into a skeleton stored flat by kind: every leaf, then the interior particles
+of each offspring category, each with its tree index and displacement.
+Evaluating it at a point is one pass: phi at x + displacement over all
+leaves, one c_l call per category, and one bincount fold of every factor
+into per-tree (sign, log|.|) sums.  One skeleton serves every point of a
 sweep.  Randomness is drawn from one stream per fixed-size batch, so
 estimates are bit-identical for any worker count.
 """
@@ -37,15 +39,17 @@ from functools import partial
 import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateDerivativeError,
-                     DomainError)
+                     DomainError, ProductOverflowError)
 from .model import PdeModel
 from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
 BATCH_TREES = 25_000
-# A grown batch is stored whole, about 8 (d + 5) bytes a particle: 2e6 of
-# them is ~100 MB at d = 1, 33x the largest batch of the fig sweeps.
+# A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
+# them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
 MAX_BATCH_PARTICLES = 2_000_000
+# Leaves per phi call in an evaluation, which bounds its (rows, d) temporaries
+PHI_BLOCK_ROWS = 16_384
 _MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
 
 
@@ -105,7 +109,8 @@ def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
     else:
         unit = sample_stable_subordinator(alpha, 1.0, rng, size=n)
         ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
-    dx = np.sqrt(ds)[:, None] * rng.gen.standard_normal((n, d))
+    dx = rng.gen.standard_normal((n, d))
+    dx *= np.sqrt(ds)[:, None]
     if size is None:
         return float(ds[0]), dx[0]
     return ds, dx
@@ -125,32 +130,54 @@ def _offspring_layout(model: PdeModel):
 
 
 @dataclass(frozen=True)
-class _Level:
-    """The particles of one generation of a batch, in draw order.
+class _Skeleton:
+    """One batch of trees grown without a root position, stored flat by kind.
 
-    ``disp`` is each particle's displacement from its root at its death (or
-    at T for a leaf); ``den`` is survival(T - birth) for a leaf and
-    q_l rho(lifetime) for an interior particle.  Nothing here depends on the
-    root position.
+    Rows are grouped by kind, the leaves first and then the interior
+    particles of each offspring category in turn: kind k holds the rows
+    ``bounds[k]:bounds[k + 1]`` (k = 0 the leaves, k = 1 + l category l),
+    in generation and draw order within a kind.  ``w`` is a particle's
+    derivative weight and ``den`` survival(T - birth) for a leaf,
+    q_l rho(lifetime) for an interior particle.  ``death`` holds the death
+    times of the interior rows (row r at r - bounds[1]); ``marked_rows`` are
+    the leaves with a nonzero mark and ``marked_birth`` their birth
+    displacements.  Nothing here depends on the root position.
+
+    ``disp[k]`` holds the displacements from the root at death (at T for a
+    leaf) of kind k's rows, in the same order, as one (rows, d) array per
+    generation: joining them would allocate the largest array of the batch
+    once more, and the freed pieces then keep the process heap, and its
+    resident size, larger from batch to batch (by 3.5 MB over 60 sweeps of
+    nld at d = 10).
     """
 
-    tree: np.ndarray          # (n,) tree index
-    leaf_rows: np.ndarray     # rows of leaves
-    cat_rows: tuple           # per offspring category, its interior rows
-    disp: np.ndarray          # (n, d)
-    death: np.ndarray         # (n,) death time, read at interiors
-    w: np.ndarray             # (n,) derivative weight
-    den: np.ndarray           # (n,)
-    marked_leaf_rows: np.ndarray
-    marked_leaf_birth: np.ndarray  # (len(marked_leaf_rows), d) birth displacement
-
-
-@dataclass(frozen=True)
-class _Skeleton:
-    """One batch of trees grown without a root position."""
-
-    levels: tuple
+    tree: np.ndarray          # (N,) tree index
+    disp: tuple               # per kind, a list of (rows, d) arrays
+    w: np.ndarray             # (N,)
+    den: np.ndarray           # (N,)
+    death: np.ndarray         # (N - bounds[1],)
+    bounds: tuple             # row offset of each kind, and N
+    marked_rows: np.ndarray   # (M,) leaf rows
+    marked_birth: np.ndarray  # (M, d)
     particles: np.ndarray     # (n_batch,) particles per tree
+    generations: int          # levels grown
+
+
+def _join(per_kind: list, tail: tuple = (), dtype=float) -> np.ndarray:
+    """The chunks of every kind, kind by kind, as one array allocated at its
+    final size.  The lists are emptied and each chunk is released as soon as
+    it is copied, so a field is never held twice."""
+    chunks = [chunk for kind in per_kind for chunk in kind]
+    for kind in per_kind:
+        kind.clear()
+    out = np.empty((sum(len(c) for c in chunks),) + tail, dtype=dtype)
+    chunks.reverse()
+    start = 0
+    while chunks:
+        chunk = chunks.pop()
+        out[start:start + len(chunk)] = chunk
+        start += len(chunk)
+    return out
 
 
 def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
@@ -158,12 +185,16 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     """Grow ``n`` independent trees level-synchronously, rooted at the origin.
 
     Every draw is independent of the root position, so one skeleton serves
-    any number of points.  Raises BudgetExceededError if a tree outgrows the
-    budget or the batch would store more than MAX_BATCH_PARTICLES particles.
+    any number of points.  Each level's particles are filed by kind as they
+    are drawn; once growth stops, every field but the displacements is
+    joined into one flat array.  Raises BudgetExceededError if a tree
+    outgrows the budget or the batch would store more than
+    MAX_BATCH_PARTICLES particles.
     """
     lifetime = model.lifetime
     q_probs = np.asarray(model.branching.probs, dtype=float)
     child_counts, child_marks, mark_offsets = _offspring_layout(model)
+    n_kinds = 1 + child_counts.size
 
     particles = np.ones(n, dtype=np.int64)
 
@@ -172,7 +203,12 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     marks = np.full(n, root_mark, dtype=np.int64)
     birth = np.full(n, float(t))
     disp = np.zeros((n, model.d))
-    levels = []
+    # per field, per kind: one chunk a level
+    fields = {name: [[] for _ in range(n_kinds)]
+              for name in ("tree", "disp", "w", "den")}
+    deaths = [[] for _ in range(n_kinds - 1)]
+    marked_rows, marked_birth = [], []
+    n_leaves = 0
     stored = n
 
     gen = 1
@@ -187,7 +223,6 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
         ds, dx = sample_subordinated_increment(
             model.d, model.alpha, model.kappa, np.where(leaf, T - birth, tau),
             rng, size=tree.size)
-        end = disp + dx
 
         # W = dx_theta / ds; a zero lifetime moves nothing (ds = dx = 0) and
         # its interior factor is 0 (rho(0) = inf), so W = 0 there, not 0/0
@@ -198,23 +233,33 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
             w[marked] = np.divide(dx[marked, marks[marked] - 1], ds_m,
                                   out=np.zeros_like(ds_m), where=ds_m > 0.0)
 
-        den = np.empty(tree.size)
         leaf_rows = np.flatnonzero(leaf)
+        marked_leaves = np.flatnonzero(marked[leaf_rows])
+        marked_rows.append(n_leaves + marked_leaves)
+        marked_birth.append(disp[leaf_rows[marked_leaves]])
+        n_leaves += leaf_rows.size
+        # move: disp becomes the displacement at death (at T for a leaf),
+        # written over dx, which is not read again
+        disp = np.add(disp, dx, out=dx)
+
+        den = np.empty(tree.size)
         if leaf_rows.size:
             den[leaf_rows] = lifetime.survival(T - birth[leaf_rows])
-        marked_leaf_rows = np.flatnonzero(leaf & marked)
 
         int_rows = np.flatnonzero(~leaf)
-        cat_rows = ()
+        kind_rows = [leaf_rows]
         if int_rows.size:
             cat = sample_offspring(model.branching, rng, size=int_rows.size)
             den[int_rows] = q_probs[cat] * lifetime.rho(tau[int_rows])
-            cat_rows = tuple(int_rows[cat == ci]
-                             for ci in range(child_counts.size))
-        levels.append(_Level(tree=tree, leaf_rows=leaf_rows, cat_rows=cat_rows,
-                             disp=end, death=death, w=w, den=den,
-                             marked_leaf_rows=marked_leaf_rows,
-                             marked_leaf_birth=disp[marked_leaf_rows]))
+            kind_rows += [int_rows[cat == ci]
+                          for ci in range(child_counts.size)]
+        for kind, rows in enumerate(kind_rows):
+            if rows.size:
+                for name, field in (("tree", tree), ("disp", disp), ("w", w),
+                                    ("den", den)):
+                    fields[name][kind].append(field[rows])
+                if kind:
+                    deaths[kind - 1].append(death[rows])
 
         # spawn children of interior particles
         if not int_rows.size:
@@ -237,72 +282,76 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
         marks = child_marks[np.arange(ends[-1]) + np.repeat(
             mark_offsets[cat[has_kids]] - (ends - kid_counts), kid_counts)]
         birth = np.repeat(death[parent_rows], kid_counts)
-        disp = np.repeat(end[parent_rows], kid_counts, axis=0)
+        disp = np.repeat(disp[parent_rows], kid_counts, axis=0)
         particles += np.bincount(tree, minlength=n)
         gen += 1
 
-    return _Skeleton(levels=tuple(levels), particles=particles)
+    del disp, dx    # the last level's (rows, d) array
+    sizes = [sum(len(c) for c in kind) for kind in fields["tree"]]
+    d = (model.d,)
+    return _Skeleton(tree=_join(fields["tree"], dtype=np.int64),
+                     disp=tuple(fields["disp"]), w=_join(fields["w"]),
+                     den=_join(fields["den"]), death=_join(deaths),
+                     bounds=tuple(int(b) for b in np.cumsum([0] + sizes)),
+                     marked_rows=_join([marked_rows], dtype=np.int64),
+                     marked_birth=_join([marked_birth], d),
+                     particles=particles, generations=gen)
 
 
-def _evaluate(model: PdeModel, skeleton: _Skeleton, x: np.ndarray,
-              skip_dead: bool = True) -> np.ndarray:
+def _evaluate(model: PdeModel, skeleton: _Skeleton,
+              x: np.ndarray) -> np.ndarray:
     """Per-tree products H of a skeleton rooted at ``x`` (shape (d,)).
 
-    Positions are x + displacement; the factors are folded into per-tree
-    (sign, log|.|) sums level by level.  With ``skip_dead`` the particles of
-    trees whose product is already exactly zero are not evaluated: their H
-    is 0 whatever the remaining factors are, and the draws are not touched.
+    One pass over the flat skeleton: phi at x + displacement for every leaf
+    (in blocks of PHI_BLOCK_ROWS rows), phi at birth for the marked leaves,
+    one c_l call per offspring category, then one fold of every factor into
+    per-tree (sign, log|.|) sums.  A tree with an exactly zero factor has
+    H = 0; raises ProductOverflowError if any other product is not finite.
     """
-    n = skeleton.particles.size
+    sk = skeleton
+    n = sk.particles.size
     phi = model.terminal.phi
-    coeffs = model.nonlinearity.coeffs
-    log_abs = np.zeros(n)
-    n_neg = np.zeros(n, dtype=np.int64)
-    dead = np.zeros(n, dtype=bool)     # product hit an exact zero
+    n_leaves = sk.bounds[1]
+    factor = np.empty(sk.tree.size)
 
-    def live(tree, rows):
-        return rows[~dead[tree[rows]]] if skip_dead else rows
+    row = 0
+    for chunk in sk.disp[0]:
+        for lo in range(0, len(chunk), PHI_BLOCK_ROWS):
+            block = chunk[lo:lo + PHI_BLOCK_ROWS]
+            factor[row:row + len(block)] = phi(x + block)
+            row += len(block)
+    if sk.marked_rows.size:
+        factor[sk.marked_rows] -= phi(x + sk.marked_birth)
+    leaves = factor[:n_leaves]
+    leaves *= sk.w[:n_leaves]
+    leaves /= sk.den[:n_leaves]
 
-    for lv in skeleton.levels:
-        factor = np.zeros(lv.tree.size)
+    for ci, coeff in enumerate(model.nonlinearity.coeffs):
+        lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
+        if hi > lo:
+            where = np.concatenate(sk.disp[ci + 1])
+            where += x
+            c_val = coeff(sk.death[lo - n_leaves:hi - n_leaves], where)
+            factor[lo:hi] = (c_val / sk.den[lo:hi]) * sk.w[lo:hi]
 
-        rows = live(lv.tree, lv.leaf_rows)
-        if rows.size:
-            factor[rows] = phi(x + lv.disp[rows])
-            marked, births = lv.marked_leaf_rows, lv.marked_leaf_birth
-            if skip_dead:
-                keep = ~dead[lv.tree[marked]]
-                marked, births = marked[keep], births[keep]
-            if marked.size:
-                factor[marked] = factor[marked] - phi(x + births)
-            leaf_factor = factor[rows] * lv.w[rows] / lv.den[rows]
-            factor[rows] = leaf_factor
-            if skip_dead:
-                dead[lv.tree[rows[leaf_factor == 0.0]]] = True
+    # fold: zero factors mark their tree dead and add log 0 := 0 to its sum
+    dead = np.zeros(n, dtype=bool)
+    dead[sk.tree[factor == 0.0]] = True
+    odd = np.bincount(sk.tree[factor < 0.0], minlength=n) % 2 == 1
+    log_abs = np.abs(factor)
+    np.log(log_abs, out=log_abs, where=log_abs > 0.0)
+    log_abs = np.bincount(sk.tree, weights=log_abs, minlength=n)
 
-        for ci, cat_rows in enumerate(lv.cat_rows):
-            rows = live(lv.tree, cat_rows)
-            if rows.size:
-                c_val = coeffs[ci](lv.death[rows], x + lv.disp[rows])
-                factor[rows] = (c_val / lv.den[rows]) * lv.w[rows]
-
-        # fold the factors into the per-tree running products
-        zero = factor == 0.0
-        if np.any(zero):
-            dead[lv.tree[zero]] = True
-        nz = ~zero
-        if np.any(nz):
-            tree = lv.tree[nz]
-            log_abs += np.bincount(tree, weights=np.log(np.abs(factor[nz])),
-                                   minlength=n)
-            neg = factor[nz] < 0.0
-            if np.any(neg):
-                n_neg += np.bincount(tree[neg], minlength=n)
-
-    sign = np.where(n_neg % 2 == 0, 1.0, -1.0)
-    h = np.where(dead, 0.0, sign * np.exp(log_abs))
+    # dead trees' sums are not products; exponentiate live ones only
+    live = ~dead
+    h = np.zeros(n)
+    with np.errstate(over="ignore"):    # an overflow is raised below
+        np.exp(log_abs, out=h, where=live)
+    np.negative(h, out=h, where=odd & live)
     if not np.all(np.isfinite(h)):
-        raise BudgetExceededError("tree product overflowed to non-finite")
+        raise ProductOverflowError(
+            "a tree product overflowed to a non-finite value; shrink T - t "
+            "or the coefficients")
     return h
 
 

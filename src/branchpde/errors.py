@@ -67,6 +67,10 @@ class BudgetExceededError(BranchPdeError):
         self.completed_trees = completed_trees
 
 
+class ProductOverflowError(BranchPdeError):
+    """A tree's product of factors overflowed to a non-finite value."""
+
+
 class DegenerateDerivativeError(BranchPdeError, ValueError):
     """Derivative estimate requested at t == T, where the weight is 0/0."""
 

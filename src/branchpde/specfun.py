@@ -193,9 +193,11 @@ def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """2F1(a, b; c; z) at every element of z, c not a non-positive integer.
 
     Terminating (a or b a non-positive integer): the finite sum, for any z.
-    Otherwise z must lie in [-1, 1): the connection formula above z = 0.9
-    when c - a - b is not an integer and neither c - a nor c - b is a
-    non-positive integer, the direct series everywhere else.
+    Otherwise z must lie in [-1, 1): below 0 the Pfaff transformation
+    2F1(a, b; c; z) = (1 - z)^(-a) 2F1(a, c - b; c; z / (z - 1)) maps z into
+    (0, 1/2], where the series converges geometrically; above z = 0.9 the
+    connection formula when c - a - b is not an integer and neither c - a
+    nor c - b is a non-positive integer; the direct series everywhere else.
     """
     z = np.asarray(z, dtype=float)
     if _is_nonpos_int(a) and not _is_nonpos_int(b):
@@ -210,12 +212,17 @@ def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     s = c - a - b
     connect = not (s == round(s) or _is_nonpos_int(c - a)
                    or _is_nonpos_int(c - b))
+    neg = z < 0.0
     near = (z > 0.9) & connect
+    series = ~(neg | near)
     out = np.empty_like(z)
+    if np.any(neg):
+        zn = z[neg]
+        out[neg] = (1.0 - zn) ** (-a) * _hyp2f1_vec(a, c - b, c, zn / (zn - 1.0))
     if np.any(near):
         out[near] = _hyp2f1_near_one_vec(a, b, c, z[near])
-    if not np.all(near):
-        out[~near] = _series_2f1_vec(a, b, c, z[~near])
+    if np.any(series):
+        out[series] = _series_2f1_vec(a, b, c, z[series])
     return out
 
 

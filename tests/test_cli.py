@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from branchpde.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK,
+from branchpde import engine
+from branchpde.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OVERFLOW,
                            EXIT_UNCERTIFIED, dict_to_result, main,
                            result_to_dict)
 from branchpde.engine import EstimatorResult
@@ -113,6 +115,29 @@ class TestSweep:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", cfg,
                      "--out", str(out)]) == EXIT_BUDGET
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_product_overflow_exit_5(self, tmp_path, monkeypatch, capfd,
+                                     workers):
+        # two children per death and c = 1e300: every tree with two interior
+        # particles overflows; 4 batches of 500 trees, run in this process
+        # or in pool workers, whose stderr capfd also reads
+        monkeypatch.setattr(engine, "BATCH_TREES", 500)
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": {"d": 1, "m": 0, "indices": [[2]], "coeffs": [1e300],
+                      "coeff_sup": [1e300],
+                      "terminal": {"expr": "2", "sup": 2.0}},
+            "t": 0.0, "T": 1.0, "n_trees": 2_000, "seed": 1,
+            "grid": "0:1:3", "workers": workers})
+        out = tmp_path / "r.csv"
+        out.write_text("stale\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", cfg, "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code == EXIT_OVERFLOW
+        assert "product overflow" in err and "Warning" not in err
         assert not out.exists()
 
     def test_bad_grid(self, tmp_path):

@@ -1,12 +1,18 @@
+import bisect
 import contextlib
 import dataclasses
+import functools
 import json
 import math
+import pickle
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main
@@ -15,7 +21,7 @@ from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
                               _grow_skeleton, estimate, estimate_gradient_all,
                               resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
-                              DomainError)
+                              DomainError, ProductOverflowError)
 from branchpde.model import (ClippedCoordinate, ConstantCoefficient,
                              LifetimeDensity, PdeModel,
                              PolynomialNonlinearity, TerminalCondition,
@@ -195,18 +201,93 @@ class TestTreeSizeOracle:
         se = particles.std(ddof=1) / math.sqrt(n)
         assert abs(emp - g[-1]) < 4.0 * se
 
-    def test_pruning_only_shrinks_counts(self):
-        """Skipping the particles of trees whose product is already zero
-        leaves every tree value unchanged."""
-        model = builtin_model("nld", d=1, alpha=1.5, k=1)
-        skeleton = _grow_skeleton(model, 0.2, 0, 1.0, 5_000, RngStream(3, 0),
-                                  TreeBudget())
-        for x1 in (0.0, 0.8, 1.3):
-            x = np.array([x1])
-            pruned = _evaluate(model, skeleton, x)
-            full = _evaluate(model, skeleton, x, skip_dead=False)
-            assert np.array_equal(pruned, full)
-            assert np.any(pruned == 0.0)
+
+@functools.lru_cache(maxsize=None)
+def _catalog(name):
+    kwargs = {"burgers-cosine": {"d": 2}}.get(name, {"d": 2, "k": 1})
+    return builtin_model(name, alpha=1.5, **kwargs)
+
+
+def _particle_products(model, skeleton, x) -> list:
+    """Per-tree products of a skeleton at x, one particle and one plain
+    multiplication at a time."""
+    sk = skeleton
+    phi = model.terminal.phi
+    n_leaves = sk.bounds[1]
+    disp = np.concatenate([chunk for kind in sk.disp for chunk in kind])
+    births = dict(zip(sk.marked_rows.tolist(), sk.marked_birth))
+    h = [1.0] * sk.particles.size
+    for row in range(sk.tree.size):
+        pos = (x + disp[row])[None, :]
+        if row < n_leaves:
+            value = float(phi(pos)[0])
+            if row in births:
+                value -= float(phi((x + births[row])[None, :])[0])
+            factor = value * sk.w[row] / sk.den[row]
+        else:
+            ci = bisect.bisect_right(sk.bounds, row) - 2
+            death = sk.death[row - n_leaves:row - n_leaves + 1]
+            c_val = float(model.nonlinearity.coeffs[ci](death, pos)[0])
+            factor = c_val / sk.den[row] * sk.w[row]
+        h[sk.tree[row]] *= factor
+    return h
+
+
+class TestFlatSkeleton:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["nld", "gradd", "burgers-cosine"]),
+           mark=st.integers(0, 2), horizon=st.floats(0.05, 0.6),
+           x=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
+           n=st.integers(1, 30), seed=st.integers(0, 2 ** 16))
+    def test_fold_matches_particle_products(self, name, mark, horizon, x, n,
+                                            seed):
+        model = _catalog(name)
+        mark = min(mark, model.m)
+        x = np.array(x)
+        skeleton = _grow_skeleton(model, 1.0 - horizon, mark, 1.0, n,
+                                  RngStream(seed, 0), TreeBudget())
+        # each particle is stored once
+        assert skeleton.tree.size == skeleton.particles.sum()
+        assert [sum(map(len, kind)) for kind in skeleton.disp] == \
+            list(np.diff(skeleton.bounds))
+        assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
+                              skeleton.particles)
+        h = _evaluate(model, skeleton, x)
+        ref = np.array(_particle_products(model, skeleton, x))
+        assert np.array_equal(h == 0.0, ref == 0.0)
+        np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
+
+    def test_memory_peaks(self):
+        """Growing one 25k-tree batch of fig1b (nld, d = 10), and evaluating
+        it at one point, each peak below 1.85 times the skeleton's stored
+        bytes, the skeleton included.
+
+        Calibrated on the per-generation layout that preceded the flat one:
+        6.2 MB stored, growth peak 10.3 MB (1.67x), evaluation peak 9.7 MB
+        (1.57x); the flat layout reads 5.5 MB, 1.72x and 1.57x.  Holding a
+        second copy of the skeleton adds about 1x to either.
+        """
+        model = builtin_model("nld", d=10, alpha=1.5, k=1)
+        x = np.r_[0.5, np.zeros(9)]
+        small = _grow_skeleton(model, 0.9, 0, 1.0, 100, RngStream(1, 0),
+                               TreeBudget())
+        _evaluate(model, small, x)      # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            skeleton = _grow_skeleton(model, 0.9, 0, 1.0, BATCH_TREES,
+                                      RngStream(0, 0), TreeBudget())
+            grow_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            _evaluate(model, skeleton, x)
+            eval_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        stored = sum(v.nbytes for v in vars(skeleton).values()
+                     if isinstance(v, np.ndarray))
+        stored += sum(chunk.nbytes for kind in skeleton.disp for chunk in kind)
+        assert grow_peak < 1.85 * stored
+        assert eval_peak < 1.85 * stored
 
 
 class TestBudgets:
@@ -235,6 +316,27 @@ class TestBudgets:
             errors.append((str(err.value), err.value.completed_trees))
         assert errors[0] == errors[1]
         assert errors[0][1] == 100
+
+    def test_product_overflow_is_typed(self):
+        # c = 1e300 with two children per death: a tree with two interior
+        # particles has a product beyond the float range
+        nonlin = PolynomialNonlinearity(
+            d=1, m=0, indices=((2,),), coeffs=(ConstantCoefficient(1e300),),
+            coeff_sup=(1e300,))
+        terminal = TerminalCondition(phi=ClippedCoordinate(index=1, bound=2.0),
+                                     sup_norm=2.0, lipschitz=1.0)
+        model = PdeModel(name="overflow", d=1, alpha=1.5, kappa=1.0,
+                         nonlinearity=nonlin, terminal=terminal,
+                         branching=uniform_branching(1),
+                         lifetime=LifetimeDensity(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProductOverflowError) as err:
+                estimate(model, 0.0, np.ones(1), 0, 1.0, n_trees=2_000,
+                         master_seed=1)
+        again = pickle.loads(pickle.dumps(err.value))
+        assert type(again) is ProductOverflowError
+        assert str(again) == str(err.value)
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

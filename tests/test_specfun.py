@@ -93,12 +93,22 @@ class TestHyp2f1:
             hyp2f1(1.0, 1.0, 2.0, 1.5)
 
     def test_accuracy_error_carries_partial(self):
-        # at z = -1 the terms alternate with size ~ n^(-1/2), so the series
-        # runs to its term cap without meeting its tolerance
+        # c - a - b = 0 is an integer, so z = 0.99999 stays on the direct
+        # series, whose terms ~ z^n / (pi n) are still 1e-6 at its term cap
         with pytest.raises(AccuracyError) as err:
-            hyp2f1(1.0, 1.0, 1.5, -1.0)
+            hyp2f1(0.5, 0.5, 1.0, 0.99999)
         assert err.value.partial is not None
         assert err.value.bound is not None
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (1.0, 1.0, 1.5, -1.0),    # alternating n^(-1/2) terms, directly
+        (2.0, 0.3, 1.0, -0.99),
+        (0.3, 1.7, 2.2, -0.2),
+    ])
+    def test_negative_z_matches_scipy(self, a, b, c, z):
+        # the Pfaff transformation takes z < 0 to z / (z - 1) in (0, 1/2]
+        assert hyp2f1(a, b, c, z) == pytest.approx(special.hyp2f1(a, b, c, z),
+                                                   rel=1e-12)
 
     @pytest.mark.parametrize("a, b, c, z, rtol", [
         (0.2, 0.3, 0.9, 0.999, 1e-12),   # connection formula
