@@ -7,12 +7,16 @@ includes wall-clock times, so identical configs and seeds produce
 byte-identical files for any worker count.
 
 Exit codes: 0 success (or certified), 2 budget abort, 3 configuration error,
-4 uncertified horizon check, 5 tree product overflow.
+4 uncertified horizon check, 5 tree product overflow.  Every output file is
+written whole through a temporary file in its directory and then renamed
+into place, so a run that fails leaves an earlier file at the same path as
+it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -46,6 +50,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it to
+    ``path``: the file at ``path`` is either the old one or all of ``text``.
+    Raises ConfigError if it cannot be written."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)      # gone already once it is renamed
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -53,8 +76,7 @@ def _write_csv(path, header, rows):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def result_to_dict(res: EstimatorResult) -> dict:
@@ -209,8 +231,7 @@ def cmd_estimate(cfg: dict) -> int:
     if out is None:
         print(doc)
     else:
-        with open(str(out) + ".json", "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        _write_file(str(out) + ".json", doc + "\n")
     return EXIT_OK
 
 
@@ -235,19 +256,13 @@ def cmd_sweep(cfg: dict) -> int:
     points = np.tile(x, (x1s.size, 1))
     points[:, 0] = x1s
     shared = Grid(points)
-    out = cfg.get("out")
     rows = []
-    try:
-        # one call per point; the first grows the trees for all of them
-        for point in points:
-            res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
-                           workers=workers, budget=budget, grid=shared)
-            rows.append((float(point[0]),) + _estimate_row(res)[:5])
-    except (BudgetExceededError, ProductOverflowError):
-        if out is not None and os.path.exists(out):
-            os.remove(out)
-        raise
-    _write_csv(out, ("x1",) + _EST_HEADER[:5], rows)
+    # one call per point; the first grows the trees for all of them
+    for point in points:
+        res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
+                       workers=workers, budget=budget, grid=shared)
+        rows.append((float(point[0]),) + _estimate_row(res)[:5])
+    _write_csv(cfg.get("out"), ("x1",) + _EST_HEADER[:5], rows)
     return EXIT_OK
 
 
@@ -267,8 +282,7 @@ def cmd_check(cfg: dict) -> int:
     if out is None:
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text + "\n")
     print(f"model={model.name} p={p} T={T}: {report.verdict} "
           f"(C_circ={report.C_circ:.4g}, "
           f"C_partial_ratio={report.C_partial_ratio:.4g}, "

@@ -20,12 +20,22 @@ Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
 is independent of the root position x, which enters only by translation.  So
 a batch of trees is grown once, level-synchronously and rooted at the origin,
 into a skeleton stored flat by kind: every leaf, then the interior particles
-of each offspring category, each with its tree index and displacement.
-Evaluating it at a point is one pass: phi at x + displacement over all
-leaves, one c_l call per category, and one bincount fold of every factor
-into per-tree (sign, log|.|) sums.  One skeleton serves every point of a
-sweep.  Randomness is drawn from one stream per fixed-size batch, so
-estimates are bit-identical for any worker count.
+of each offspring category, each with its tree index and displacement.  One
+skeleton serves every point of a sweep.
+
+The skeleton is evaluated at blocks of points, at most EVAL_BLOCK_CELLS
+rows x points a block.  What does not depend on the point is folded once per
+skeleton into per-tree (dead, sign, log|.|) sums: W / den of every row, and
+the whole factor of every category with a constant coefficient.  Each point
+then folds only phi at x + displacement over the leaves and c_l at the
+interior deaths of the other categories.  phi and c_l of the catalog's
+radial models (ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
+sum_j (x + disp)_j, continued from cached per-row sums of the displacements
+over the coordinates above the last one that is nonzero in the block, one
+column at a time below it; the others are called at x + disp point by
+point.  Each point's values are the same bits in any block.  Randomness is
+drawn from one stream per fixed-size batch, so estimates are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -33,14 +43,14 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateDerivativeError,
                      DomainError, ProductOverflowError)
-from .model import PdeModel
+from .model import ConstantCoefficient, PdeModel, radial_args
 from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
@@ -48,8 +58,10 @@ BATCH_TREES = 25_000
 # A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
 # them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
 MAX_BATCH_PARTICLES = 2_000_000
-# Leaves per phi call in an evaluation, which bounds its (rows, d) temporaries
-PHI_BLOCK_ROWS = 16_384
+# Float cells of one evaluation temporary: rows x points of a block's
+# values (a fig1b batch, 40k point-dependent rows, takes 4 points a block)
+# and rows x coordinates of one generic phi or c_l call
+EVAL_BLOCK_CELLS = 160_000
 _MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
 
 
@@ -75,6 +87,7 @@ class EstimatorResult:
     elapsed: float
     mean_tree_size: float
     max_tree_size: int
+    zero_frac: float        # share of trees whose product is exactly 0
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,7 @@ class _BatchStats:
     n: int
     mean: float
     m2: float
+    zeros: int
     sum_particles: int
     max_particles: int
 
@@ -149,6 +163,10 @@ class _Skeleton:
     once more, and the freed pieces then keep the process heap, and its
     resident size, larger from batch to batch (by 3.5 MB over 60 sweeps of
     nld at d = 10).
+
+    ``cache`` holds what evaluations under the model the skeleton was grown
+    for derive once and reuse at every point: the fold of the
+    point-independent factors and the radial tails of the displacements.
     """
 
     tree: np.ndarray          # (N,) tree index
@@ -161,6 +179,7 @@ class _Skeleton:
     marked_birth: np.ndarray  # (M, d)
     particles: np.ndarray     # (n_batch,) particles per tree
     generations: int          # levels grown
+    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _join(per_kind: list, tail: tuple = (), dtype=float) -> np.ndarray:
@@ -298,61 +317,160 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
                      particles=particles, generations=gen)
 
 
-def _evaluate(model: PdeModel, skeleton: _Skeleton,
-              x: np.ndarray) -> np.ndarray:
-    """Per-tree products H of a skeleton rooted at ``x`` (shape (d,)).
+def _fold(tree: np.ndarray, factor: np.ndarray, n: int):
+    """Per tree of ``n``: whether a factor is exactly 0, whether an odd
+    number of factors is negative, and the sum of log|factor| over the
+    nonzero factors, each row adding in row order."""
+    dead = np.zeros(n, dtype=bool)
+    dead[tree[factor == 0.0]] = True
+    odd = np.bincount(tree[factor < 0.0], minlength=n) % 2 == 1
+    log_abs = np.abs(factor)
+    np.log(log_abs, out=log_abs, where=log_abs > 0.0)
+    return dead, odd, np.bincount(tree, weights=log_abs, minlength=n)
 
-    One pass over the flat skeleton: phi at x + displacement for every leaf
-    (in blocks of PHI_BLOCK_ROWS rows), phi at birth for the marked leaves,
-    one c_l call per offspring category, then one fold of every factor into
-    per-tree (sign, log|.|) sums.  A tree with an exactly zero factor has
+
+@dataclass(frozen=True)
+class _Invariant:
+    """The point-independent part of a skeleton's products.
+
+    ``dead``, ``odd`` and ``log_abs`` fold W / den of every row and the whole
+    factor of every category with a constant coefficient.  The
+    point-dependent rows are the leaves and the rows of each category in
+    ``kinds[1:]``, kind by kind; ``tree`` is their tree index.
+    """
+
+    dead: np.ndarray
+    odd: np.ndarray
+    log_abs: np.ndarray
+    kinds: tuple
+    tree: np.ndarray
+
+
+def _invariant(model: PdeModel, sk: _Skeleton) -> _Invariant:
+    """The skeleton's _Invariant under ``model``, folded on first use."""
+    inv = sk.cache.get("invariant")
+    if inv is None:
+        factor = sk.w / sk.den
+        kinds = [0]
+        for ci, coeff in enumerate(model.nonlinearity.coeffs):
+            lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
+            if isinstance(coeff, ConstantCoefficient):
+                factor[lo:hi] *= coeff.value
+            elif hi > lo:
+                kinds.append(ci + 1)
+        tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
+                               for k in kinds])
+        inv = _Invariant(*_fold(sk.tree, factor, sk.particles.size),
+                         kinds=tuple(kinds), tree=tree)
+        sk.cache["invariant"] = inv
+    return inv
+
+
+def _block_points(model: PdeModel, skeleton: _Skeleton) -> int:
+    """Points per ``_evaluate`` call, so that a block's values hold at most
+    EVAL_BLOCK_CELLS cells (at least one point)."""
+    rows = _invariant(model, skeleton).tree.size + skeleton.marked_rows.size
+    return max(1, EVAL_BLOCK_CELLS // max(rows, 1))
+
+
+def _tails(sk: _Skeleton, key, chunks: list, top: int):
+    """For the rows of ``chunks`` (a list of (rows, d) arrays): |disp|^2 and
+    sum_j disp_j over the coordinates above ``top``, summed as
+    ``radial_args`` sums them, and the columns 0..top.  Cached per skeleton."""
+    tails = sk.cache.get((key, top))
+    if tails is None:
+        r2, s = zip(*(radial_args(c[:, top + 1:]) for c in chunks))
+        columns = [np.concatenate([c[:, j] for c in chunks])
+                   for j in range(top + 1)]
+        tails = (np.concatenate(r2), np.concatenate(s), columns)
+        sk.cache[(key, top)] = tails
+    return tails
+
+
+def _values(fn, sk: _Skeleton, key, chunks: list, times,
+            points: np.ndarray) -> np.ndarray:
+    """``fn`` (phi, or c_l at death ``times``) at x + disp for each point x
+    (a row of ``points``) and each row of ``chunks``: a (G, rows) array.
+
+    A radial ``fn`` gets |x + disp|^2 and sum_j (x + disp)_j, continued
+    from the cached tails (``key`` names the rows) over the coordinates up
+    to the last one that is nonzero in some point, never x + disp itself.
+    Any other ``fn`` is called at x + disp one point at a time, in row
+    blocks of at most EVAL_BLOCK_CELLS cells.
+    """
+    if not chunks:
+        return np.empty((len(points), 0))
+    radial = getattr(fn, "radial", None)
+    if radial is not None:
+        nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
+        top = int(nonzero[-1]) if nonzero.size else 0
+        r2, s, columns = _tails(sk, key, chunks, top)
+        for j in range(top, -1, -1):
+            y = columns[j] + points[:, j, None]
+            s = s + y
+            y *= y
+            y += r2
+            r2 = y
+        return radial(r2, s) if times is None else radial(times, r2, s)
+    out = np.empty((len(points), sum(len(c) for c in chunks)))
+    step = max(1, EVAL_BLOCK_CELLS // points.shape[1])
+    for x, row_out in zip(points, out):
+        row = 0
+        for chunk in chunks:
+            for lo in range(0, len(chunk), step):
+                at = x + chunk[lo:lo + step]
+                hi = row + len(at)
+                row_out[row:hi] = (fn(at) if times is None
+                                   else fn(times[row:hi], at))
+                row = hi
+    return out
+
+
+def _evaluate(model: PdeModel, skeleton: _Skeleton,
+              points: np.ndarray) -> np.ndarray:
+    """Per-tree products H of a skeleton rooted at each row of ``points``
+    (a (G, d) block): an (n, G) array, column g for point g.
+
+    The point-independent factors are folded once per skeleton
+    (``_invariant``).  Each point then folds only its point-dependent
+    factors: phi at x + displacement for every leaf, minus phi at birth for
+    the marked leaves, and c_l at the interior deaths of each category
+    whose coefficient is not constant.  A point's column does not depend on
+    the other points of the block.  A tree with an exactly zero factor has
     H = 0; raises ProductOverflowError if any other product is not finite.
     """
     sk = skeleton
     n = sk.particles.size
+    points = np.asarray(points, dtype=float)
+    inv = _invariant(model, sk)
     phi = model.terminal.phi
-    n_leaves = sk.bounds[1]
-    factor = np.empty(sk.tree.size)
 
-    row = 0
-    for chunk in sk.disp[0]:
-        for lo in range(0, len(chunk), PHI_BLOCK_ROWS):
-            block = chunk[lo:lo + PHI_BLOCK_ROWS]
-            factor[row:row + len(block)] = phi(x + block)
-            row += len(block)
+    # one (G, rows) array of factors per point-dependent kind
+    parts = [_values(phi, sk, 0, sk.disp[0], None, points)]
     if sk.marked_rows.size:
-        factor[sk.marked_rows] -= phi(x + sk.marked_birth)
-    leaves = factor[:n_leaves]
-    leaves *= sk.w[:n_leaves]
-    leaves /= sk.den[:n_leaves]
+        births = _values(phi, sk, "birth", [sk.marked_birth], None, points)
+        for leaves, birth in zip(parts[0], births):
+            leaves[sk.marked_rows] -= birth
+    for kind in inv.kinds[1:]:
+        lo, hi = (b - sk.bounds[1] for b in sk.bounds[kind:kind + 2])
+        parts.append(_values(model.nonlinearity.coeffs[kind - 1], sk, kind,
+                             sk.disp[kind], sk.death[lo:hi], points))
 
-    for ci, coeff in enumerate(model.nonlinearity.coeffs):
-        lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
-        if hi > lo:
-            where = np.concatenate(sk.disp[ci + 1])
-            where += x
-            c_val = coeff(sk.death[lo - n_leaves:hi - n_leaves], where)
-            factor[lo:hi] = (c_val / sk.den[lo:hi]) * sk.w[lo:hi]
-
-    # fold: zero factors mark their tree dead and add log 0 := 0 to its sum
-    dead = np.zeros(n, dtype=bool)
-    dead[sk.tree[factor == 0.0]] = True
-    odd = np.bincount(sk.tree[factor < 0.0], minlength=n) % 2 == 1
-    log_abs = np.abs(factor)
-    np.log(log_abs, out=log_abs, where=log_abs > 0.0)
-    log_abs = np.bincount(sk.tree, weights=log_abs, minlength=n)
-
-    # dead trees' sums are not products; exponentiate live ones only
-    live = ~dead
-    h = np.zeros(n)
-    with np.errstate(over="ignore"):    # an overflow is raised below
-        np.exp(log_abs, out=h, where=live)
-    np.negative(h, out=h, where=odd & live)
+    h = np.zeros((len(points), n))
+    for g, out in enumerate(h):
+        factor = np.concatenate([part[g] for part in parts])
+        dead, odd, log_abs = _fold(inv.tree, factor, n)
+        live = ~(dead | inv.dead)
+        log_abs += inv.log_abs
+        # dead trees' sums are not products; exponentiate live ones only
+        with np.errstate(over="ignore"):    # an overflow is raised below
+            np.exp(log_abs, out=out, where=live)
+        np.negative(out, out=out, where=(odd ^ inv.odd) & live)
     if not np.all(np.isfinite(h)):
         raise ProductOverflowError(
             "a tree product overflowed to a non-finite value; shrink T - t "
             "or the coefficients")
-    return h
+    return h.T
 
 
 def _validate_point(model, t, x, mark, T):
@@ -372,19 +490,27 @@ def _validate_point(model, t, x, mark, T):
 
 def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
                  batch_size, budget) -> list:
-    """Grow batch ``batch_idx`` once and evaluate it at every point."""
+    """Grow batch ``batch_idx`` once and evaluate it at every point, a
+    block of ``_block_points`` points at a time."""
     rng = RngStream(master_seed, (mark << _MARK_SHIFT) | batch_idx)
     skeleton = _grow_skeleton(model, t, mark, T, batch_size, rng, budget)
     sum_particles = int(np.sum(skeleton.particles))
     max_particles = int(np.max(skeleton.particles))
-    stats = []
-    for x in points:
-        h = _evaluate(model, skeleton, x)
+
+    def point_stats(h) -> _BatchStats:
         mean = float(np.mean(h))
-        m2 = float(np.sum((h - mean) ** 2))
-        stats.append(_BatchStats(n=batch_size, mean=mean, m2=m2,
-                                 sum_particles=sum_particles,
-                                 max_particles=max_particles))
+        return _BatchStats(n=batch_size, mean=mean,
+                           m2=float(np.sum((h - mean) ** 2)),
+                           zeros=int(np.count_nonzero(h == 0.0)),
+                           sum_particles=sum_particles,
+                           max_particles=max_particles)
+
+    stats = []
+    step = _block_points(model, skeleton)
+    for lo in range(0, len(points), step):
+        # a block's tree values are reduced, and freed, before the next block
+        stats += map(point_stats, _evaluate(model, skeleton,
+                                            points[lo:lo + step]).T)
     return stats
 
 
@@ -393,7 +519,7 @@ def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
     delta = b.mean - a.mean
     mean = a.mean + delta * b.n / n
     m2 = a.m2 + b.m2 + delta * delta * a.n * b.n / n
-    return _BatchStats(n=n, mean=mean, m2=m2,
+    return _BatchStats(n=n, mean=mean, m2=m2, zeros=a.zeros + b.zeros,
                        sum_particles=a.sum_particles + b.sum_particles,
                        max_particles=max(a.max_particles, b.max_particles))
 
@@ -444,7 +570,8 @@ def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
             mean=total.mean, stderr=stderr,
             ci95=(total.mean - half, total.mean + half), n_trees=total.n,
             elapsed=elapsed, mean_tree_size=total.sum_particles / total.n,
-            max_tree_size=total.max_particles))
+            max_tree_size=total.max_particles,
+            zero_frac=total.zeros / total.n))
     return results
 
 
@@ -499,7 +626,8 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
         return EstimatorResult(mean=value, stderr=0.0, ci95=(value, value),
                                n_trees=n_trees,
                                elapsed=time.perf_counter() - start,
-                               mean_tree_size=1.0, max_tree_size=1)
+                               mean_tree_size=1.0, max_tree_size=1,
+                               zero_frac=float(value == 0.0))
 
     if grid is None:
         return _estimate_points(model, t, xa[None, :], mark, T, n_trees,

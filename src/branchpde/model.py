@@ -21,10 +21,33 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnknownModelError
 from .expressions import eval_expression, parse_expression
-from .specfun import gamma_fn, phi_bump, psi_getoor_batch, upper_reg_gamma
+from .specfun import bump_r2, gamma_fn, psi_getoor_batch, upper_reg_gamma
+from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bump)
+
+
+def radial_args(x):
+    """|x|^2 and sum_j x_j of points x (..., d), each summed from the last
+    coordinate to the first.
+
+    The radial models (ScaledBump, NldSource, GraddSource) depend on x only
+    through these two sums.  The engine continues the same sums from cached
+    tails of its displacements, so both routes agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    r2 = np.zeros(x.shape[:-1])
+    s = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1] - 1, -1, -1):
+        y = x[..., j]
+        s += y
+        r2 += y * y
+    return r2, s
+
 
 # --------------------------------------------------------------------------
-# Coefficient functions (t may be scalar or (n,); x is (n, d); result (n,))
+# Coefficient functions (t may be scalar or (n,); x is (n, d); result (n,)).
+# A coefficient or terminal that depends on x only through |x|^2 and
+# sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal),
+# which the engine calls instead of building x itself.
 # --------------------------------------------------------------------------
 
 
@@ -58,7 +81,9 @@ class NldSource:
     d: int
 
     def __call__(self, t, x):
-        r2 = np.sum(np.asarray(x) ** 2, axis=-1)
+        return self.radial(t, *radial_args(x))
+
+    def radial(self, t, r2, s):
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
         bump4 = np.maximum(0.0, 1.0 - r2) ** (4 * self.k + 2.0 * self.alpha)
         return np.exp(-np.asarray(t)) * psi - np.exp(-4.0 * np.asarray(t)) * bump4
@@ -73,14 +98,14 @@ class GraddSource:
     d: int
 
     def __call__(self, t, x):
-        xa = np.asarray(x)
-        r2 = np.sum(xa ** 2, axis=-1)
+        return self.radial(t, *radial_args(x))
+
+    def radial(self, t, r2, s):
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
         power = np.maximum(0.0, 1.0 - r2) ** (2 * self.k + self.alpha - 1.0)
-        sx = np.sum(xa, axis=-1)
         t = np.asarray(t)
         return (np.exp(-t) * psi
-                + (2 * self.k + self.alpha) * np.exp(-2.0 * t) * power * sx)
+                + (2 * self.k + self.alpha) * np.exp(-2.0 * t) * power * s)
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +122,12 @@ class ScaledBump:
     scale: float = 1.0
 
     def __call__(self, x):
-        return self.scale * phi_bump(self.k, self.alpha, x)
+        return self.radial(*radial_args(x))
+
+    def radial(self, r2, s):
+        value = bump_r2(self.k, self.alpha, r2)
+        value *= self.scale
+        return value
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,18 @@ def phi_bump(k: int, alpha: float, x) -> float:
 
     x may be a single point (d,) or a batch (n, d); returns scalar or (n,).
     """
-    _check_k_alpha(k, alpha, upper=2.0)
     xa = np.asarray(x, dtype=float)
-    r2 = np.sum(np.atleast_1d(xa) ** 2, axis=-1)
-    val = np.maximum(0.0, 1.0 - r2) ** (k + alpha / 2.0)
+    val = bump_r2(k, alpha, np.sum(np.atleast_1d(xa) ** 2, axis=-1))
     return float(val) if np.ndim(val) == 0 else val
+
+
+def bump_r2(k: int, alpha: float, r2) -> np.ndarray:
+    """The bump (1 - r2)_+^(k + a/2) at squared radii r2 (any shape)."""
+    _check_k_alpha(k, alpha, upper=2.0)
+    value = np.asarray(1.0 - np.asarray(r2, dtype=float))
+    np.maximum(value, 0.0, out=value)
+    value **= k + alpha / 2.0
+    return value
 
 
 def _check_k_alpha(k, alpha, upper):

@@ -1,9 +1,17 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import pathlib
+import signal
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from branchpde import engine
 from branchpde.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OVERFLOW,
@@ -107,15 +115,29 @@ class TestSweep:
         assert [float(r.split(",")[0]) for r in lines[1:]] == \
             [-1.0, -0.5, 0.0, 0.5, 1.0]
 
-    def test_budget_abort_removes_partial_output(self, tmp_path):
+    def test_budget_abort_keeps_earlier_output(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {
             "model": "nld", "d": 1, "alpha": 1.5, "k": 1, "t": 0.0, "T": 1.0,
             "n_trees": 5_000, "grid": "-1:1:3",
             "budget": {"max_generation": 2}})
         out = tmp_path / "r.csv"
+        out.write_bytes(b"stale\n")
         assert main(["sweep", "--config", cfg,
                      "--out", str(out)]) == EXIT_BUDGET
-        assert not out.exists()
+        assert out.read_bytes() == b"stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "r.csv"]
+
+    def test_output_replaces_earlier_file(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG,
+                                                "n_trees": 1_000,
+                                                "grid": "0:1:2"})
+        out = tmp_path / "r.csv"
+        out.write_bytes(b"stale\n")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("x1,mean,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "r.csv"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_product_overflow_exit_5(self, tmp_path, monkeypatch, capfd,
@@ -131,14 +153,25 @@ class TestSweep:
             "t": 0.0, "T": 1.0, "n_trees": 2_000, "seed": 1,
             "grid": "0:1:3", "workers": workers})
         out = tmp_path / "r.csv"
-        out.write_text("stale\n")
+        out.write_bytes(b"stale\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["sweep", "--config", cfg, "--out", str(out)])
         err = capfd.readouterr().err
         assert code == EXIT_OVERFLOW
         assert "product overflow" in err and "Warning" not in err
-        assert not out.exists()
+        assert out.read_bytes() == b"stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "r.csv"]
+
+    def test_unwritable_output_is_typed(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG,
+                                                "n_trees": 1_000,
+                                                "grid": "0:1:2"})
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == \
+            EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
 
     def test_bad_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "grid": "0:1"})
@@ -233,8 +266,100 @@ class TestResultRoundTrip:
     def test_dict_round_trip(self):
         res = EstimatorResult(mean=1.5, stderr=0.01, ci95=(1.48, 1.52),
                               n_trees=1000, elapsed=0.5,
-                              mean_tree_size=3.2, max_tree_size=17)
+                              mean_tree_size=3.2, max_tree_size=17,
+                              zero_frac=0.25)
         doc = result_to_dict(res)
         assert isinstance(doc["ci95"], list)
         json.dumps(doc)  # must be serializable
         assert dict_to_result(doc) == res
+
+
+# The stderr line each documented non-zero exit code of a sweep starts with
+_TYPED_EXITS = {EXIT_BUDGET: ("budget exceeded:",),
+                EXIT_CONFIG: ("configuration error:", "error:"),
+                EXIT_OVERFLOW: ("product overflow:",)}
+_EXPRESSIONS = ("1", "cos(x1)", "exp(-t) * sin(x1)", "pospart(1 - norm2())",
+                "indicator_box(-1, 1)", "phi_bump(1, 1.5)")
+
+
+@st.composite
+def _inline_models(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(0, d))
+    n_cat = draw(st.integers(1, 3))
+    indices = draw(st.lists(st.lists(st.integers(0, 2), min_size=m + 1,
+                                     max_size=m + 1),
+                            min_size=n_cat, max_size=n_cat))
+    coeffs = draw(st.lists(st.one_of(st.floats(-2.0, 2.0),
+                                     st.sampled_from(_EXPRESSIONS)),
+                           min_size=n_cat, max_size=n_cat))
+    return {"d": d, "m": m, "indices": indices, "coeffs": coeffs,
+            "coeff_sup": [abs(c) if isinstance(c, float) else 1.0
+                          for c in coeffs],
+            "terminal": {"expr": draw(st.sampled_from(_EXPRESSIONS)),
+                         "sup": 1.0},
+            "alpha": draw(st.floats(0.5, 2.0)),
+            "kappa": draw(st.floats(0.5, 10.0)),
+            "delta": draw(st.floats(0.2, 2.0))}
+
+
+_CATALOG = st.fixed_dictionaries({
+    "model": st.sampled_from(["nld", "gradd", "burgers-halfspace",
+                              "burgers-cosine", "linear-test"]),
+    "d": st.integers(1, 3), "alpha": st.floats(0.5, 2.0),
+    "k": st.integers(0, 2), "kappa": st.floats(0.5, 10.0),
+    "delta": st.floats(0.2, 2.0)})
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestConfigSpace:
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.one_of(_CATALOG,
+                           st.fixed_dictionaries({"model": _inline_models()})),
+           horizon=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           lo=st.floats(-2.0, 2.0), width=st.floats(0.0, 3.0),
+           steps=st.integers(1, 5), n_trees=st.integers(2, 2_000),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_sweep_ends_finite_or_typed(self, model, horizon, lo, width,
+                                        steps, n_trees, seed, data):
+        """Any sweep over catalog and inline models ends within 30 s, in
+        exit 0 with finite numbers or in a documented exit code with its
+        message."""
+        d = model["model"]["d"] if "d" not in model else model["d"]
+        mark = data.draw(st.integers(0, d + 1), label="mark")
+        cfg = {**model, "t": 1.0 - horizon, "T": 1.0, "mark": mark,
+               "grid": f"{lo}:{lo + width}:{steps}", "n_trees": n_trees,
+               "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            out = pathlib.Path(tmp) / "r.csv"
+            err = io.StringIO()
+            with _alarm(30.0), contextlib.redirect_stderr(err):
+                code = main(["sweep", "--config", str(path),
+                             "--out", str(out)])
+            event(f"exit {code}")
+            if code == EXIT_OK:
+                with open(out, newline="", encoding="utf-8") as fh:
+                    rows = list(csv.DictReader(fh))
+                assert len(rows) == steps
+                assert all(math.isfinite(float(v))
+                           for row in rows for v in row.values())
+            else:
+                assert code in _TYPED_EXITS, err.getvalue()
+                assert err.getvalue().startswith(_TYPED_EXITS[code])
+                assert not out.exists()

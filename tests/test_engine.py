@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
-                              EstimatorResult, TreeBudget, _evaluate,
-                              _grow_skeleton, estimate, estimate_gradient_all,
-                              resolve_workers)
+                              EstimatorResult, TreeBudget, _block_points,
+                              _evaluate, _grow_skeleton, _values, estimate,
+                              estimate_gradient_all, resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError, ProductOverflowError)
 from branchpde.model import (ClippedCoordinate, ConstantCoefficient,
@@ -203,9 +203,23 @@ class TestTreeSizeOracle:
 
 
 @functools.lru_cache(maxsize=None)
-def _catalog(name):
-    kwargs = {"burgers-cosine": {"d": 2}}.get(name, {"d": 2, "k": 1})
-    return builtin_model(name, alpha=1.5, **kwargs)
+def _catalog(name, d=2):
+    kwargs = {} if name == "burgers-cosine" else {"k": 1}
+    return builtin_model(name, d=d, alpha=1.5, **kwargs)
+
+
+def _nbytes(obj) -> int:
+    """Bytes of every array held by ``obj``, through containers and
+    dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return sum(map(_nbytes, obj))
+    return 0
 
 
 def _particle_products(model, skeleton, x) -> list:
@@ -252,26 +266,65 @@ class TestFlatSkeleton:
             list(np.diff(skeleton.bounds))
         assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
                               skeleton.particles)
-        h = _evaluate(model, skeleton, x)
+        h = _evaluate(model, skeleton, x[None, :])[:, 0]
         ref = np.array(_particle_products(model, skeleton, x))
         assert np.array_equal(h == 0.0, ref == 0.0)
         np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["nld", "gradd", "burgers-cosine"]),
+           d=st.sampled_from([1, 2, 10]), mark=st.integers(0, 2),
+           horizon=st.floats(0.05, 0.6), n=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 16), data=st.data())
+    def test_block_points_are_independent(self, name, d, mark, horizon, n,
+                                          seed, data):
+        """A block's columns are its points' one-point evaluations bit for
+        bit, and the radial path is phi and c_l called at x + disp."""
+        model = _catalog(name, d)
+        mark = min(mark, d)
+        coordinate = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
+        points = np.array(data.draw(st.lists(
+            st.lists(coordinate, min_size=d, max_size=d),
+            min_size=1, max_size=7)))
+        skeleton = _grow_skeleton(model, 1.0 - horizon, mark, 1.0, n,
+                                  RngStream(seed, 0), TreeBudget())
+        block = _evaluate(model, skeleton, points)
+        alone = np.column_stack([_evaluate(model, skeleton, p[None, :])
+                                 for p in points])
+        assert block.shape == (n, len(points))
+        assert block.tobytes() == alone.tobytes()
+
+        sk = skeleton
+        rows = [(model.terminal.phi, 0, sk.disp[0], None),
+                (model.terminal.phi, "birth", [sk.marked_birth], None)]
+        for ci, coeff in enumerate(model.nonlinearity.coeffs):
+            lo, hi = (b - sk.bounds[1] for b in sk.bounds[ci + 1:ci + 3])
+            rows.append((coeff, ci + 1, sk.disp[ci + 1], sk.death[lo:hi]))
+        for fn, key, chunks, times in rows:
+            if not hasattr(fn, "radial") or not sum(map(len, chunks)):
+                continue
+            got = _values(fn, sk, key, chunks, times, points)
+            disp = np.concatenate(chunks)
+            want = np.array([fn(x + disp) if times is None
+                             else fn(times, x + disp) for x in points])
+            np.testing.assert_array_equal(got, want)
+
     def test_memory_peaks(self):
         """Growing one 25k-tree batch of fig1b (nld, d = 10), and evaluating
-        it at one point, each peak below 1.85 times the skeleton's stored
-        bytes, the skeleton included.
+        it at the largest block of points a sweep evaluates together, each
+        peak below 1.85 times the bytes the skeleton stores, the skeleton
+        and the caches its evaluations keep included.
 
         Calibrated on the per-generation layout that preceded the flat one:
-        6.2 MB stored, growth peak 10.3 MB (1.67x), evaluation peak 9.7 MB
-        (1.57x); the flat layout reads 5.5 MB, 1.72x and 1.57x.  Holding a
-        second copy of the skeleton adds about 1x to either.
+        6.2 MB stored, growth peak 10.3 MB (1.67x), evaluation peak at one
+        point 9.7 MB (1.57x).  With its caches the flat skeleton stores
+        7.0 MB; growth peaks at 1.35x and a 4-point block at 1.46x.
+        Holding a second copy of the skeleton adds about 0.8x to either.
         """
         model = builtin_model("nld", d=10, alpha=1.5, k=1)
-        x = np.r_[0.5, np.zeros(9)]
         small = _grow_skeleton(model, 0.9, 0, 1.0, 100, RngStream(1, 0),
                                TreeBudget())
-        _evaluate(model, small, x)      # first-call allocations
+        _evaluate(model, small, np.eye(10)[:2])     # first-call allocations
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -279,13 +332,14 @@ class TestFlatSkeleton:
                                       RngStream(0, 0), TreeBudget())
             grow_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
-            _evaluate(model, skeleton, x)
+            points = np.zeros((_block_points(model, skeleton), 10))
+            points[:, 0] = np.linspace(-1.2, 1.2, len(points))
+            _evaluate(model, skeleton, points)
             eval_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        stored = sum(v.nbytes for v in vars(skeleton).values()
-                     if isinstance(v, np.ndarray))
-        stored += sum(chunk.nbytes for kind in skeleton.disp for chunk in kind)
+        assert len(points) > 1
+        stored = _nbytes(skeleton)
         assert grow_peak < 1.85 * stored
         assert eval_peak < 1.85 * stored
 
@@ -358,6 +412,24 @@ class TestBudgets:
             capsys.readouterr().err
 
 
+class TestZeroFraction:
+    def test_linear_test_has_no_zero_products(self):
+        model = builtin_model("linear-test")
+        res = estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=5_000)
+        assert res.zero_frac == 0.0
+
+    def test_share_of_zero_products(self):
+        # nld at x1 = 1.2: a leaf that ends outside the unit ball has phi = 0
+        model = builtin_model("nld", d=1, alpha=1.5, k=1)
+        x = np.array([1.2])
+        res = estimate(model, 0.5, x, 0, 1.0, n_trees=4_000, master_seed=3)
+        skeleton = _grow_skeleton(model, 0.5, 0, 1.0, 4_000, RngStream(3, 0),
+                                  TreeBudget())
+        h = _evaluate(model, skeleton, x[None, :])[:, 0]
+        assert 0.0 < res.zero_frac < 1.0
+        assert res.zero_frac == np.count_nonzero(h == 0.0) / 4_000
+
+
 class TestValidation:
     def test_bad_inputs(self):
         model = builtin_model("linear-test")
@@ -378,7 +450,7 @@ class TestValidation:
         assert isinstance(res, EstimatorResult)
         assert {f.name for f in dataclasses.fields(res)} == {
             "mean", "stderr", "ci95", "n_trees", "elapsed", "mean_tree_size",
-            "max_tree_size"}
+            "max_tree_size", "zero_frac"}
         assert res.n_trees == 5_000
         assert res.ci95[0] < res.mean < res.ci95[1]
         assert res.mean_tree_size >= 1.0 and res.elapsed > 0.0
