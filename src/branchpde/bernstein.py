@@ -177,7 +177,17 @@ class IntegrabilityVerdict:
         return self.converges
 
 
+# half-width of the band around -1 in which a fitted decay exponent cannot
+# tell an integrable power from a divergent one
 _EXPONENT_GUARD = 0.01
+
+
+def fit_decay_exponent(x, y) -> tuple[float, bool]:
+    """The least-squares slope of log y against log x, and whether it lies
+    within _EXPONENT_GUARD of -1, where the verdict it decides is
+    inconclusive."""
+    slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    return slope, abs(slope + 1.0) <= _EXPONENT_GUARD
 
 
 def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> IntegrabilityVerdict:
@@ -195,12 +205,10 @@ def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> Integrabi
     integrand = 1.0 / (vals * np.sqrt(grid))
     # fit on the last two decades, where sub-leading terms are negligible
     tail = grid >= 1e7
-    slope = np.polyfit(np.log(grid[tail]), np.log(integrand[tail]), 1)[0]
+    slope, inconclusive = fit_decay_exponent(grid[tail], integrand[tail])
     integral = float(np.trapezoid(integrand * grid, np.log(grid)))
-    inconclusive = bool(abs(slope + 1.0) <= _EXPONENT_GUARD)
-    converges = bool(slope < -1.0 - _EXPONENT_GUARD)
-    return IntegrabilityVerdict(converges=converges, integral=integral,
-                                fitted_exponent=float(slope),
+    return IntegrabilityVerdict(converges=slope < -1.0 and not inconclusive,
+                                integral=integral, fitted_exponent=slope,
                                 inconclusive=inconclusive, lam0=lam0)
 
 

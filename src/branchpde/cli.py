@@ -69,6 +69,21 @@ def _write_file(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_out(path) -> None:
+    """Raise ConfigError unless output ``path`` is a string whose directory
+    exists and is writable, so that a run fails before it computes
+    anything."""
+    if path is None:
+        return
+    if not isinstance(path, str):
+        raise ConfigError(f"out must be a file path, got {path!r}")
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory)
+            and os.access(directory, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path}: {directory} is not a "
+                          "writable directory")
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -83,12 +98,6 @@ def result_to_dict(res: EstimatorResult) -> dict:
     out = dataclasses.asdict(res)
     out["ci95"] = list(out["ci95"])
     return out
-
-
-def dict_to_result(doc: dict) -> EstimatorResult:
-    doc = dict(doc)
-    doc["ci95"] = tuple(doc["ci95"])
-    return EstimatorResult(**doc)
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +307,7 @@ def cmd_sample_diag(cfg: dict) -> int:
         raise ConfigError("sample-diag needs alpha in (0,2], t > 0, n >= 1")
     seed = int(cfg.get("seed", 0))
     rng = RngStream(seed, 0)
-    samples = np.atleast_1d(sample_stable_subordinator(alpha, t, rng, size=n))
+    samples = sample_stable_subordinator(alpha, t, rng, size=n)
     out = cfg.get("out")
     _write_csv(out, ("sample",), [(float(s),) for s in samples])
     lines = []
@@ -347,6 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        _check_out(cfg.get("out"))
         return _COMMANDS[args.command](cfg)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -23,19 +23,21 @@ into a skeleton stored flat by kind: every leaf, then the interior particles
 of each offspring category, each with its tree index and displacement.  One
 skeleton serves every point of a sweep.
 
-The skeleton is evaluated at blocks of points, at most EVAL_BLOCK_CELLS
-rows x points a block.  What does not depend on the point is folded once per
-skeleton into per-tree (dead, sign, log|.|) sums: W / den of every row, and
-the whole factor of every category with a constant coefficient.  Each point
-then folds only phi at x + displacement over the leaves and c_l at the
-interior deaths of the other categories.  phi and c_l of the catalog's
-radial models (ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
-sum_j (x + disp)_j, continued from cached per-row sums of the displacements
-over the coordinates above the last one that is nonzero in the block, one
-column at a time below it; the others are called at x + disp point by
-point.  Each point's values are the same bits in any block.  Randomness is
-drawn from one stream per fixed-size batch, so estimates are bit-identical
-for any worker count.
+Each row stores one weight, W over its survival or q_l rho denominator.
+Once a batch is grown, one plan per run prepares its evaluation at all of
+the run's points, which then take blocks of at most EVAL_BLOCK_CELLS rows x
+points.  The plan folds what does not depend on the point into per-tree
+(dead, sign, log|.|) sums: the weight of every row, and the whole factor of
+every category with a constant coefficient.  Each point then folds only phi
+at x + displacement over the leaves and c_l at the interior deaths of the
+other categories.  phi and c_l of the catalog's radial models (ScaledBump,
+NldSource, GraddSource) read |x + disp|^2 and sum_j (x + disp)_j, continued
+from the plan's per-row sums of the displacements over the coordinates
+above the last one that is nonzero in any of the run's points, one column
+at a time below it; the others are called at x + disp point by point.
+A point's values are the same bits whatever other points share its block
+or its run.  Randomness is drawn from one stream per fixed-size batch, so
+estimates are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -55,8 +57,8 @@ from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
 BATCH_TREES = 25_000
-# A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
-# them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
+# A grown batch is stored whole, about 8 (d + 3) bytes a particle: 2e6 of
+# them is ~64 MB at d = 1, 33x the largest batch of the fig sweeps.
 MAX_BATCH_PARTICLES = 2_000_000
 # Float cells of one evaluation temporary: rows x points of a block's
 # values (a fig1b batch, 40k point-dependent rows, takes 4 points a block)
@@ -101,32 +103,30 @@ class _BatchStats:
 
 
 def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
-                                  rng: RngStream, size=None):
-    """One move (ds, dx) of the subordinated Brownian motion over kappa*Delta_alpha.
+                                  rng: RngStream, size: int):
+    """``size`` moves (ds, dx) of the subordinated Brownian motion over
+    kappa*Delta_alpha.
 
     ds = kappa^(2/alpha) dt^(2/alpha) S(alpha, 1), by the scale invariance of
     the stable subordinator (deterministic 2*kappa*dt at alpha = 2), and
-    dx = sqrt(ds) N(0, I_d).  ``dt`` may be an array matching ``size``; with
-    ``size=None`` ds is a float and dx has shape (d,), else (size,) and
-    (size, d).  dx_theta / ds is the derivative weight W of mark theta.
+    dx = sqrt(ds) N(0, I_d).  ``dt`` may be an array matching ``size``; ds
+    has shape (size,) and dx (size, d).  dx_theta / ds is the derivative
+    weight W of mark theta.
     """
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    n = 1 if size is None else size
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt >= 0.0):
         raise DomainError("dt must be non-negative")
     if alpha == 2.0:
-        ds = 2.0 * kappa * np.broadcast_to(dt, n)
+        ds = 2.0 * kappa * np.broadcast_to(dt, size)
     else:
-        unit = sample_stable_subordinator(alpha, 1.0, rng, size=n)
+        unit = sample_stable_subordinator(alpha, 1.0, rng, size=size)
         ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
-    dx = rng.gen.standard_normal((n, d))
+    dx = rng.gen.standard_normal((size, d))
     dx *= np.sqrt(ds)[:, None]
-    if size is None:
-        return float(ds[0]), dx[0]
     return ds, dx
 
 
@@ -150,8 +150,8 @@ class _Skeleton:
     Rows are grouped by kind, the leaves first and then the interior
     particles of each offspring category in turn: kind k holds the rows
     ``bounds[k]:bounds[k + 1]`` (k = 0 the leaves, k = 1 + l category l),
-    in generation and draw order within a kind.  ``w`` is a particle's
-    derivative weight and ``den`` survival(T - birth) for a leaf,
+    in generation and draw order within a kind.  ``weight`` is a particle's
+    derivative weight W over survival(T - birth) for a leaf, over
     q_l rho(lifetime) for an interior particle.  ``death`` holds the death
     times of the interior rows (row r at r - bounds[1]); ``marked_rows`` are
     the leaves with a nonzero mark and ``marked_birth`` their birth
@@ -163,23 +163,17 @@ class _Skeleton:
     once more, and the freed pieces then keep the process heap, and its
     resident size, larger from batch to batch (by 3.5 MB over 60 sweeps of
     nld at d = 10).
-
-    ``cache`` holds what evaluations under the model the skeleton was grown
-    for derive once and reuse at every point: the fold of the
-    point-independent factors and the radial tails of the displacements.
     """
 
     tree: np.ndarray          # (N,) tree index
     disp: tuple               # per kind, a list of (rows, d) arrays
-    w: np.ndarray             # (N,)
-    den: np.ndarray           # (N,)
+    weight: np.ndarray        # (N,)
     death: np.ndarray         # (N - bounds[1],)
     bounds: tuple             # row offset of each kind, and N
     marked_rows: np.ndarray   # (M,) leaf rows
     marked_birth: np.ndarray  # (M, d)
     particles: np.ndarray     # (n_batch,) particles per tree
     generations: int          # levels grown
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _join(per_kind: list, tail: tuple = (), dtype=float) -> np.ndarray:
@@ -224,7 +218,7 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     disp = np.zeros((n, model.d))
     # per field, per kind: one chunk a level
     fields = {name: [[] for _ in range(n_kinds)]
-              for name in ("tree", "disp", "w", "den")}
+              for name in ("tree", "disp", "weight")}
     deaths = [[] for _ in range(n_kinds - 1)]
     marked_rows, marked_birth = [], []
     n_leaves = 0
@@ -272,10 +266,11 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
             den[int_rows] = q_probs[cat] * lifetime.rho(tau[int_rows])
             kind_rows += [int_rows[cat == ci]
                           for ci in range(child_counts.size)]
+        w /= den
         for kind, rows in enumerate(kind_rows):
             if rows.size:
-                for name, field in (("tree", tree), ("disp", disp), ("w", w),
-                                    ("den", den)):
+                for name, field in (("tree", tree), ("disp", disp),
+                                    ("weight", w)):
                     fields[name][kind].append(field[rows])
                 if kind:
                     deaths[kind - 1].append(death[rows])
@@ -309,8 +304,8 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     sizes = [sum(len(c) for c in kind) for kind in fields["tree"]]
     d = (model.d,)
     return _Skeleton(tree=_join(fields["tree"], dtype=np.int64),
-                     disp=tuple(fields["disp"]), w=_join(fields["w"]),
-                     den=_join(fields["den"]), death=_join(deaths),
+                     disp=tuple(fields["disp"]),
+                     weight=_join(fields["weight"]), death=_join(deaths),
                      bounds=tuple(int(b) for b in np.cumsum([0] + sizes)),
                      marked_rows=_join([marked_rows], dtype=np.int64),
                      marked_birth=_join([marked_birth], d),
@@ -330,93 +325,96 @@ def _fold(tree: np.ndarray, factor: np.ndarray, n: int):
 
 
 @dataclass(frozen=True)
-class _Invariant:
-    """The point-independent part of a skeleton's products.
+class _Plan:
+    """How to evaluate one skeleton under one model at the points of a run.
 
-    ``dead``, ``odd`` and ``log_abs`` fold W / den of every row and the whole
-    factor of every category with a constant coefficient.  The
-    point-dependent rows are the leaves and the rows of each category in
-    ``kinds[1:]``, kind by kind; ``tree`` is their tree index.
+    ``dead``, ``odd`` and ``log_abs`` fold, per tree, the point-independent
+    factors: the weight of every row and the whole factor of every category
+    with a constant coefficient.  The point-dependent rows are the leaves
+    and the rows of each category whose coefficient is not constant, kind by
+    kind; ``tree`` is their tree index.  ``terms`` holds, per such kind, its
+    callable (phi or c_l), the death times of its rows (None for the
+    leaves) and the rows as ``_values`` reads them; ``births`` holds the
+    same for phi at the birth of the ``marked`` leaf rows.  ``block`` is the
+    number of points a call of ``_evaluate`` takes.
     """
 
     dead: np.ndarray
     odd: np.ndarray
     log_abs: np.ndarray
-    kinds: tuple
     tree: np.ndarray
+    terms: tuple
+    marked: np.ndarray
+    births: tuple
+    block: int
 
 
-def _invariant(model: PdeModel, sk: _Skeleton) -> _Invariant:
-    """The skeleton's _Invariant under ``model``, folded on first use."""
-    inv = sk.cache.get("invariant")
-    if inv is None:
-        factor = sk.w / sk.den
-        kinds = [0]
-        for ci, coeff in enumerate(model.nonlinearity.coeffs):
-            lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
-            if isinstance(coeff, ConstantCoefficient):
-                factor[lo:hi] *= coeff.value
-            elif hi > lo:
-                kinds.append(ci + 1)
-        tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
-                               for k in kinds])
-        inv = _Invariant(*_fold(sk.tree, factor, sk.particles.size),
-                         kinds=tuple(kinds), tree=tree)
-        sk.cache["invariant"] = inv
-    return inv
+def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
+    """The _Plan of skeleton ``sk`` under ``model`` for the rows of
+    ``points``, all the points of a run.
 
+    A radial callable reads its rows as |disp|^2 and sum_j disp_j over the
+    coordinates above ``top``, summed as ``radial_args`` sums them, and the
+    columns 0..top, where ``top`` is the last coordinate that is nonzero in
+    some point.  Any other callable reads the displacement chunks.
+    """
+    nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
+    top = int(nonzero[-1]) if nonzero.size else 0
 
-def _block_points(model: PdeModel, skeleton: _Skeleton) -> int:
-    """Points per ``_evaluate`` call, so that a block's values hold at most
-    EVAL_BLOCK_CELLS cells (at least one point)."""
-    rows = _invariant(model, skeleton).tree.size + skeleton.marked_rows.size
-    return max(1, EVAL_BLOCK_CELLS // max(rows, 1))
-
-
-def _tails(sk: _Skeleton, key, chunks: list, top: int):
-    """For the rows of ``chunks`` (a list of (rows, d) arrays): |disp|^2 and
-    sum_j disp_j over the coordinates above ``top``, summed as
-    ``radial_args`` sums them, and the columns 0..top.  Cached per skeleton."""
-    tails = sk.cache.get((key, top))
-    if tails is None:
+    def term(fn, chunks, times=None):
+        if not chunks or not hasattr(fn, "radial"):
+            return fn, times, chunks
         r2, s = zip(*(radial_args(c[:, top + 1:]) for c in chunks))
         columns = [np.concatenate([c[:, j] for c in chunks])
                    for j in range(top + 1)]
-        tails = (np.concatenate(r2), np.concatenate(s), columns)
-        sk.cache[(key, top)] = tails
-    return tails
+        return fn, times, (np.concatenate(r2), np.concatenate(s), columns)
+
+    phi = model.terminal.phi
+    factor = sk.weight.copy()
+    kinds, terms = [0], [term(phi, sk.disp[0])]
+    for ci, coeff in enumerate(model.nonlinearity.coeffs):
+        lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
+        if isinstance(coeff, ConstantCoefficient):
+            factor[lo:hi] *= coeff.value
+        elif hi > lo:
+            kinds.append(ci + 1)
+            terms.append(term(coeff, sk.disp[ci + 1],
+                              sk.death[lo - sk.bounds[1]:hi - sk.bounds[1]]))
+    tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
+                           for k in kinds])
+    births = term(phi, [sk.marked_birth]) if sk.marked_rows.size else ()
+    rows = tree.size + sk.marked_rows.size
+    return _Plan(*_fold(sk.tree, factor, sk.particles.size), tree=tree,
+                 terms=tuple(terms), marked=sk.marked_rows, births=births,
+                 block=max(1, EVAL_BLOCK_CELLS // max(rows, 1)))
 
 
-def _values(fn, sk: _Skeleton, key, chunks: list, times,
-            points: np.ndarray) -> np.ndarray:
+def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
     """``fn`` (phi, or c_l at death ``times``) at x + disp for each point x
-    (a row of ``points``) and each row of ``chunks``: a (G, rows) array.
+    (a row of ``points``) and each row of a _Plan term: a (G, rows) array.
 
     A radial ``fn`` gets |x + disp|^2 and sum_j (x + disp)_j, continued
-    from the cached tails (``key`` names the rows) over the coordinates up
-    to the last one that is nonzero in some point, never x + disp itself.
-    Any other ``fn`` is called at x + disp one point at a time, in row
-    blocks of at most EVAL_BLOCK_CELLS cells.
+    from the plan's tails one column at a time, never x + disp itself.  Any
+    other ``fn`` is called at x + disp one point at a time, in row blocks of
+    at most EVAL_BLOCK_CELLS cells.
     """
-    if not chunks:
+    if not rows:
         return np.empty((len(points), 0))
     radial = getattr(fn, "radial", None)
     if radial is not None:
-        nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
-        top = int(nonzero[-1]) if nonzero.size else 0
-        r2, s, columns = _tails(sk, key, chunks, top)
-        for j in range(top, -1, -1):
+        r2, s, columns = rows
+        for j in range(len(columns) - 1, -1, -1):
             y = columns[j] + points[:, j, None]
             s = s + y
             y *= y
             y += r2
             r2 = y
         return radial(r2, s) if times is None else radial(times, r2, s)
-    out = np.empty((len(points), sum(len(c) for c in chunks)))
+    out = np.empty((len(points), sum(len(c) for c in rows)))
     step = max(1, EVAL_BLOCK_CELLS // points.shape[1])
     for x, row_out in zip(points, out):
         row = 0
-        for chunk in chunks:
+        for chunk in rows:
             for lo in range(0, len(chunk), step):
                 at = x + chunk[lo:lo + step]
                 hi = row + len(at)
@@ -426,46 +424,37 @@ def _values(fn, sk: _Skeleton, key, chunks: list, times,
     return out
 
 
-def _evaluate(model: PdeModel, skeleton: _Skeleton,
-              points: np.ndarray) -> np.ndarray:
-    """Per-tree products H of a skeleton rooted at each row of ``points``
-    (a (G, d) block): an (n, G) array, column g for point g.
+def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
+    """Per-tree products H of a planned skeleton rooted at each row of
+    ``points`` (a (G, d) block of the run's points): an (n, G) array,
+    column g for point g.
 
-    The point-independent factors are folded once per skeleton
-    (``_invariant``).  Each point then folds only its point-dependent
-    factors: phi at x + displacement for every leaf, minus phi at birth for
+    Each point folds only its point-dependent factors onto the plan's
+    fold: phi at x + displacement for every leaf, minus phi at birth for
     the marked leaves, and c_l at the interior deaths of each category
     whose coefficient is not constant.  A point's column does not depend on
     the other points of the block.  A tree with an exactly zero factor has
     H = 0; raises ProductOverflowError if any other product is not finite.
     """
-    sk = skeleton
-    n = sk.particles.size
+    n = plan.dead.size
     points = np.asarray(points, dtype=float)
-    inv = _invariant(model, sk)
-    phi = model.terminal.phi
-
     # one (G, rows) array of factors per point-dependent kind
-    parts = [_values(phi, sk, 0, sk.disp[0], None, points)]
-    if sk.marked_rows.size:
-        births = _values(phi, sk, "birth", [sk.marked_birth], None, points)
+    parts = [_values(*term, points) for term in plan.terms]
+    if plan.marked.size:
+        births = _values(*plan.births, points)
         for leaves, birth in zip(parts[0], births):
-            leaves[sk.marked_rows] -= birth
-    for kind in inv.kinds[1:]:
-        lo, hi = (b - sk.bounds[1] for b in sk.bounds[kind:kind + 2])
-        parts.append(_values(model.nonlinearity.coeffs[kind - 1], sk, kind,
-                             sk.disp[kind], sk.death[lo:hi], points))
+            leaves[plan.marked] -= birth
 
     h = np.zeros((len(points), n))
     for g, out in enumerate(h):
         factor = np.concatenate([part[g] for part in parts])
-        dead, odd, log_abs = _fold(inv.tree, factor, n)
-        live = ~(dead | inv.dead)
-        log_abs += inv.log_abs
+        dead, odd, log_abs = _fold(plan.tree, factor, n)
+        live = ~(dead | plan.dead)
+        log_abs += plan.log_abs
         # dead trees' sums are not products; exponentiate live ones only
         with np.errstate(over="ignore"):    # an overflow is raised below
             np.exp(log_abs, out=out, where=live)
-        np.negative(out, out=out, where=(odd ^ inv.odd) & live)
+        np.negative(out, out=out, where=(odd ^ plan.odd) & live)
     if not np.all(np.isfinite(h)):
         raise ProductOverflowError(
             "a tree product overflowed to a non-finite value; shrink T - t "
@@ -490,8 +479,8 @@ def _validate_point(model, t, x, mark, T):
 
 def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
                  batch_size, budget) -> list:
-    """Grow batch ``batch_idx`` once and evaluate it at every point, a
-    block of ``_block_points`` points at a time."""
+    """Grow batch ``batch_idx`` once, plan its evaluation at all of
+    ``points`` and evaluate it a block of points at a time."""
     rng = RngStream(master_seed, (mark << _MARK_SHIFT) | batch_idx)
     skeleton = _grow_skeleton(model, t, mark, T, batch_size, rng, budget)
     sum_particles = int(np.sum(skeleton.particles))
@@ -505,12 +494,12 @@ def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
                            sum_particles=sum_particles,
                            max_particles=max_particles)
 
+    plan = _plan(model, skeleton, points)
     stats = []
-    step = _block_points(model, skeleton)
-    for lo in range(0, len(points), step):
+    for lo in range(0, len(points), plan.block):
         # a block's tree values are reduced, and freed, before the next block
-        stats += map(point_stats, _evaluate(model, skeleton,
-                                            points[lo:lo + step]).T)
+        stats += map(point_stats,
+                     _evaluate(plan, points[lo:lo + plan.block]).T)
     return stats
 
 

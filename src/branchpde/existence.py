@@ -29,12 +29,10 @@ import numpy as np
 from scipy import integrate as _integrate
 
 from .bernstein import (LaplaceExponent, check_integrability_cd,
-                        laplace_power_integral)
+                        fit_decay_exponent, laplace_power_integral)
 from .errors import AdmissibilityError, DomainError, NotLipschitzError
 from .model import LifetimeDensity, PdeModel
 from .specfun import gamma_fn, upper_reg_gamma
-
-_SLOPE_GUARD = 0.01
 
 
 def abs_gaussian_moment(p: float, paper_literal: bool = False) -> float:
@@ -85,9 +83,8 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
         laplace_power_integral(eta, s, p / 2.0, rel_tol=1e-9)
         * rho(s) ** (1.0 - p)
         for s in s_grid])
-    slope = float(np.polyfit(np.log(s_grid), np.log(vals), 1)[0])
-    inconclusive = bool(abs(slope + 1.0) <= _SLOPE_GUARD)
-    cond_eta = bool(slope > -1.0 + _SLOPE_GUARD)
+    slope, inconclusive = fit_decay_exponent(s_grid, vals)
+    cond_eta = slope > -1.0 and not inconclusive
 
     cd = check_integrability_cd(eta, lam0=lam0)
     return Theorem2Check(cond_rho=cond_rho, cond_eta=cond_eta,

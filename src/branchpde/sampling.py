@@ -4,7 +4,7 @@ on the CMS sampler lives with the tree engine that runs it.
 
 Streams are counter-based (Philox) and keyed by (master_seed, stream_id), so a
 stream's sequence depends only on its key — never on scheduling or worker
-count.  All samplers accept an optional ``size`` and vectorize over it.
+count.  Every sampler draws an array of ``size`` samples.
 """
 
 from __future__ import annotations
@@ -36,13 +36,9 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """A fresh stream under the same master seed."""
-        return RngStream(self.master_seed, stream_id)
 
-
-def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size=None):
-    """Exact sample(s) of S_t for the alpha/2-stable subordinator.
+def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size):
+    """Exact samples of S_t for the alpha/2-stable subordinator.
 
     Chambers-Mallows-Stuck form, with E[exp(-lam S_t)] = exp(-t (2 lam)^(alpha/2)):
 
@@ -58,13 +54,10 @@ def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size=None
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if alpha == 2.0:
-        out = np.full(size, 2.0 * t) if size is not None else 2.0 * t
-        return out
+        return np.full(size, 2.0 * t)
     a = alpha / 2.0
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
-    out = np.empty(n)
-    todo = np.arange(n)
+    out = np.empty(int(np.prod(size)))
+    todo = np.arange(out.size)
     while todo.size:
         u = rng.gen.uniform(-np.pi / 2.0, np.pi / 2.0, todo.size)
         e = rng.gen.standard_exponential(todo.size)
@@ -76,28 +69,23 @@ def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size=None
         bad = ~(s >= _CMS_UNDERFLOW)
         rng.cms_resamples += int(np.count_nonzero(bad))
         todo = todo[bad]
-    if scalar:
-        return float(out[0])
     return out.reshape(size)
 
 
-def sample_lifetime(delta: float, rng: RngStream, size=None):
-    """Gamma(shape delta, rate 1) lifetime sample(s)."""
+def sample_lifetime(delta: float, rng: RngStream, size):
+    """Gamma(shape delta, rate 1) lifetime samples."""
     if delta <= 0.0:
         raise DomainError(f"gamma shape must be positive, got {delta}")
-    out = rng.gen.gamma(delta, size=size)
-    return float(out) if size is None else out
+    return rng.gen.gamma(delta, size=size)
 
 
-def sample_offspring(q, rng: RngStream, size=None):
-    """Index into q's category list sampled with the exact probabilities.
+def sample_offspring(q, rng: RngStream, size):
+    """Indices into q's category list sampled with the exact probabilities.
 
     ``q`` needs only a ``probs`` attribute (positive, summing to 1); the engine
-    passes a BranchingLaw.  Returns an integer index (or array of them).
+    passes a BranchingLaw.
     """
     probs = np.asarray(q.probs, dtype=float)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    u = rng.gen.random(size)
-    idx = np.searchsorted(cum, u, side="right")
-    return int(idx) if size is None else idx
+    return np.searchsorted(cum, rng.gen.random(size), side="right")

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from branchpde import engine
+from branchpde import cli, engine
 from branchpde.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_OVERFLOW,
-                           EXIT_UNCERTIFIED, dict_to_result, main,
-                           result_to_dict)
+                           EXIT_UNCERTIFIED, main, result_to_dict)
 from branchpde.engine import EstimatorResult
 
 
@@ -28,6 +27,17 @@ def _write_cfg(tmp_path, name, doc):
 
 LINEAR_CFG = {"model": "linear-test", "alpha": 1.5, "c": 0.8, "t": 0.5,
               "T": 1.0, "n_trees": 20_000, "seed": 3}
+
+
+def _unwritable_fails_fast(command, cfg, tmp_path, capsys, monkeypatch):
+    """``command`` with --out in a missing directory exits 3 before its
+    first estimate."""
+    calls = []
+    monkeypatch.setattr(cli, "estimate", lambda *a, **k: calls.append(a))
+    out = tmp_path / "missing" / "r.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot write" in capsys.readouterr().err
+    assert not calls
 
 
 class TestEstimate:
@@ -45,6 +55,10 @@ class TestEstimate:
 
         doc = json.loads((tmp_path / "res.csv.json").read_text())
         assert doc["mean"] == mean and doc["n_trees"] == 20_000
+
+    def test_unwritable_output_is_typed(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_cfg(tmp_path, "cfg.json", LINEAR_CFG)
+        _unwritable_fails_fast("estimate", cfg, tmp_path, capsys, monkeypatch)
 
     def test_flag_overrides(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", LINEAR_CFG)
@@ -164,14 +178,11 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                                "r.csv"]
 
-    def test_unwritable_output_is_typed(self, tmp_path, capsys):
+    def test_unwritable_output_is_typed(self, tmp_path, capsys, monkeypatch):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG,
                                                 "n_trees": 1_000,
                                                 "grid": "0:1:2"})
-        out = tmp_path / "missing" / "r.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == \
-            EXIT_CONFIG
-        assert "cannot write" in capsys.readouterr().err
+        _unwritable_fails_fast("sweep", cfg, tmp_path, capsys, monkeypatch)
 
     def test_bad_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "grid": "0:1"})
@@ -261,6 +272,11 @@ class TestConfigErrors:
                          {**LINEAR_CFG, "x": [0.0, 1.0, 2.0]})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
+    def test_non_string_out(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "out": 5})
+        assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+        assert "out must be a file path" in capsys.readouterr().err
+
 
 class TestResultRoundTrip:
     def test_dict_round_trip(self):
@@ -271,7 +287,6 @@ class TestResultRoundTrip:
         doc = result_to_dict(res)
         assert isinstance(doc["ci95"], list)
         json.dumps(doc)  # must be serializable
-        assert dict_to_result(doc) == res
 
 
 # The stderr line each documented non-zero exit code of a sweep starts with

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
-                              EstimatorResult, TreeBudget, _block_points,
-                              _evaluate, _grow_skeleton, _values, estimate,
+                              EstimatorResult, TreeBudget, _evaluate,
+                              _grow_skeleton, _plan, _values, estimate,
                               estimate_gradient_all, resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError, ProductOverflowError)
@@ -237,12 +237,12 @@ def _particle_products(model, skeleton, x) -> list:
             value = float(phi(pos)[0])
             if row in births:
                 value -= float(phi((x + births[row])[None, :])[0])
-            factor = value * sk.w[row] / sk.den[row]
+            factor = value * sk.weight[row]
         else:
             ci = bisect.bisect_right(sk.bounds, row) - 2
             death = sk.death[row - n_leaves:row - n_leaves + 1]
             c_val = float(model.nonlinearity.coeffs[ci](death, pos)[0])
-            factor = c_val / sk.den[row] * sk.w[row]
+            factor = c_val * sk.weight[row]
         h[sk.tree[row]] *= factor
     return h
 
@@ -266,7 +266,7 @@ class TestFlatSkeleton:
             list(np.diff(skeleton.bounds))
         assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
                               skeleton.particles)
-        h = _evaluate(model, skeleton, x[None, :])[:, 0]
+        h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
         ref = np.array(_particle_products(model, skeleton, x))
         assert np.array_equal(h == 0.0, ref == 0.0)
         np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
@@ -278,8 +278,9 @@ class TestFlatSkeleton:
            seed=st.integers(0, 2 ** 16), data=st.data())
     def test_block_points_are_independent(self, name, d, mark, horizon, n,
                                           seed, data):
-        """A block's columns are its points' one-point evaluations bit for
-        bit, and the radial path is phi and c_l called at x + disp."""
+        """A block's columns, planned for all of its points, are its points'
+        one-point evaluations, each planned for that point alone, bit for
+        bit; and the radial path is phi and c_l called at x + disp."""
         model = _catalog(name, d)
         mark = min(mark, d)
         coordinate = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
@@ -288,23 +289,31 @@ class TestFlatSkeleton:
             min_size=1, max_size=7)))
         skeleton = _grow_skeleton(model, 1.0 - horizon, mark, 1.0, n,
                                   RngStream(seed, 0), TreeBudget())
-        block = _evaluate(model, skeleton, points)
-        alone = np.column_stack([_evaluate(model, skeleton, p[None, :])
-                                 for p in points])
+        plan = _plan(model, skeleton, points)
+        block = _evaluate(plan, points)
+        alone = np.column_stack([_evaluate(_plan(model, skeleton, p[None, :]),
+                                           p[None, :]) for p in points])
         assert block.shape == (n, len(points))
         assert block.tobytes() == alone.tobytes()
 
+        # the plan's terms: the leaves, then each category whose coefficient
+        # is not constant and that has rows, then the marked leaves' births
         sk = skeleton
-        rows = [(model.terminal.phi, 0, sk.disp[0], None),
-                (model.terminal.phi, "birth", [sk.marked_birth], None)]
-        for ci, coeff in enumerate(model.nonlinearity.coeffs):
-            lo, hi = (b - sk.bounds[1] for b in sk.bounds[ci + 1:ci + 3])
-            rows.append((coeff, ci + 1, sk.disp[ci + 1], sk.death[lo:hi]))
-        for fn, key, chunks, times in rows:
-            if not hasattr(fn, "radial") or not sum(map(len, chunks)):
+        coeffs = model.nonlinearity.coeffs
+        chunks = [sk.disp[0]] + [
+            sk.disp[ci + 1] for ci, coeff in enumerate(coeffs)
+            if not isinstance(coeff, ConstantCoefficient)
+            and sk.bounds[ci + 2] > sk.bounds[ci + 1]]
+        terms = list(plan.terms)
+        if sk.marked_rows.size:
+            chunks.append([sk.marked_birth])
+            terms.append(plan.births)
+        assert len(terms) == len(chunks)
+        for (fn, times, rows), kind in zip(terms, chunks):
+            if not hasattr(fn, "radial") or not kind:
                 continue
-            got = _values(fn, sk, key, chunks, times, points)
-            disp = np.concatenate(chunks)
+            got = _values(fn, times, rows, points)
+            disp = np.concatenate(kind)
             want = np.array([fn(x + disp) if times is None
                              else fn(times, x + disp) for x in points])
             np.testing.assert_array_equal(got, want)
@@ -312,19 +321,20 @@ class TestFlatSkeleton:
     def test_memory_peaks(self):
         """Growing one 25k-tree batch of fig1b (nld, d = 10), and evaluating
         it at the largest block of points a sweep evaluates together, each
-        peak below 1.85 times the bytes the skeleton stores, the skeleton
-        and the caches its evaluations keep included.
+        peak below 1.85 times the bytes the skeleton and its evaluation plan
+        store.  The evaluation peak includes planning the sweep's 61 points.
 
         Calibrated on the per-generation layout that preceded the flat one:
         6.2 MB stored, growth peak 10.3 MB (1.67x), evaluation peak at one
-        point 9.7 MB (1.57x).  With its caches the flat skeleton stores
-        7.0 MB; growth peaks at 1.35x and a 4-point block at 1.46x.
+        point 9.7 MB (1.57x).  The flat skeleton and its plan store 6.65 MB;
+        growth peaks at 1.39x and planning and a 4-point block at 1.55x.
         Holding a second copy of the skeleton adds about 0.8x to either.
         """
         model = builtin_model("nld", d=10, alpha=1.5, k=1)
         small = _grow_skeleton(model, 0.9, 0, 1.0, 100, RngStream(1, 0),
                                TreeBudget())
-        _evaluate(model, small, np.eye(10)[:2])     # first-call allocations
+        # first-call allocations
+        _evaluate(_plan(model, small, np.eye(10)[:2]), np.eye(10)[:2])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -332,14 +342,15 @@ class TestFlatSkeleton:
                                       RngStream(0, 0), TreeBudget())
             grow_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
-            points = np.zeros((_block_points(model, skeleton), 10))
+            points = np.zeros((61, 10))
             points[:, 0] = np.linspace(-1.2, 1.2, len(points))
-            _evaluate(model, skeleton, points)
+            plan = _plan(model, skeleton, points)
+            _evaluate(plan, points[:plan.block])
             eval_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(points) > 1
-        stored = _nbytes(skeleton)
+        assert plan.block > 1
+        stored = _nbytes(skeleton) + _nbytes(plan)
         assert grow_peak < 1.85 * stored
         assert eval_peak < 1.85 * stored
 
@@ -425,7 +436,7 @@ class TestZeroFraction:
         res = estimate(model, 0.5, x, 0, 1.0, n_trees=4_000, master_seed=3)
         skeleton = _grow_skeleton(model, 0.5, 0, 1.0, 4_000, RngStream(3, 0),
                                   TreeBudget())
-        h = _evaluate(model, skeleton, x[None, :])[:, 0]
+        h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
         assert 0.0 < res.zero_frac < 1.0
         assert res.zero_frac == np.count_nonzero(h == 0.0) / 4_000
 

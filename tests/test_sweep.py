@@ -18,6 +18,11 @@ from branchpde.errors import DomainError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("fig*.json"))
+# every fig config, and fig2a off the x1 axis, where the radial path reads
+# the displacements' column 1 as well as column 0
+SWEEPS = [pytest.param(path, {}, id=path.stem) for path in CONFIGS] + [
+    pytest.param(ROOT / "configs" / "fig2a.json", {"x": [0.0, 0.3]},
+                 id="fig2a-x2")]
 
 # fig3b's burgers-cosine written as an inline model
 BURGERS_INLINE = {
@@ -46,17 +51,18 @@ def _sweep(tmp_path, cfg, name, *flags) -> list:
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_sweep_rows_equal_point_estimates(config, workers, tmp_path,
+@pytest.mark.parametrize("config, extra", SWEEPS)
+def test_sweep_rows_equal_point_estimates(config, extra, workers, tmp_path,
                                           small_batches):
     cfg = json.loads(config.read_text())
     lo, hi, _ = cfg["grid"].split(":")
-    cfg.update(grid=f"{lo}:{hi}:5", n_trees=2_500, seed=5, workers=workers)
+    cfg.update(grid=f"{lo}:{hi}:5", n_trees=2_500, seed=5, workers=workers,
+               **extra)
     rows = _sweep(tmp_path, cfg, config.stem)
     model = resolve_model(cfg)
     assert len(rows) == 5
     for row in rows:
-        x = np.zeros(model.d)
+        x = np.array(cfg.get("x", np.zeros(model.d)), dtype=float)
         x[0] = float(row["x1"])
         res = engine.estimate(model, cfg["t"], x, 0, cfg["T"], 2_500,
                               master_seed=5, workers=workers)
