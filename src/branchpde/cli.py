@@ -105,6 +105,18 @@ def result_to_dict(res: EstimatorResult) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _number(value, name: str, kind=float):
+    """Config value ``value`` of field ``name`` as ``kind`` (float or int).
+    Raises ConfigError unless it is a JSON number, and a whole one for an
+    int."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float)
+            and not value.is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -128,34 +140,35 @@ def load_config(path: str, overrides) -> dict:
 
 def _build_inline_model(spec: dict) -> PdeModel:
     try:
-        d = int(spec["d"])
-        m = int(spec.get("m", 0))
-        indices = tuple(tuple(int(v) for v in l) for l in spec["indices"])
+        d = _number(spec["d"], "d", int)
+        m = _number(spec.get("m", 0), "m", int)
+        indices = tuple(tuple(_number(v, "indices", int) for v in l)
+                        for l in spec["indices"])
         coeffs = []
         for c in spec["coeffs"]:
             if isinstance(c, (int, float)):
                 coeffs.append(ConstantCoefficient(float(c)))
             else:
                 coeffs.append(ExpressionCoefficient(src=str(c), d=d))
-        sups = tuple(float(v) for v in spec["coeff_sup"])
+        sups = tuple(_number(v, "coeff_sup") for v in spec["coeff_sup"])
         term = spec["terminal"]
         terminal = TerminalCondition(
             phi=ExpressionTerminal(src=str(term["expr"]), d=d),
-            sup_norm=float(term["sup"]),
+            sup_norm=_number(term["sup"], "sup"),
             lipschitz=None if term.get("lipschitz") is None
-            else float(term["lipschitz"]))
+            else _number(term["lipschitz"], "lipschitz"))
         n_cat = len(indices)
-        probs = tuple(float(v) for v in spec.get(
+        probs = tuple(_number(v, "q") for v in spec.get(
             "q", [1.0 / n_cat] * n_cat))
         nonlin = PolynomialNonlinearity(d=d, m=m, indices=indices,
                                         coeffs=tuple(coeffs), coeff_sup=sups)
         return PdeModel(name=str(spec.get("name", "inline")), d=d,
-                        alpha=float(spec.get("alpha", 1.5)),
-                        kappa=float(spec.get("kappa", 1.0)),
+                        alpha=_number(spec.get("alpha", 1.5), "alpha"),
+                        kappa=_number(spec.get("kappa", 1.0), "kappa"),
                         nonlinearity=nonlin, terminal=terminal,
                         branching=BranchingLaw(probs=probs),
                         lifetime=LifetimeDensity(
-                            delta=float(spec.get("delta", 0.5))))
+                            delta=_number(spec.get("delta", 0.5), "delta")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid inline model: {exc}") from exc
 
@@ -166,31 +179,33 @@ def resolve_model(cfg: dict) -> PdeModel:
         raise ConfigError("config must name a model or define one inline")
     if isinstance(spec, dict):
         return _build_inline_model(spec)
-    return builtin_model(str(spec),
-                         d=int(cfg.get("d", 1)),
-                         alpha=float(cfg.get("alpha", 1.5)),
-                         k=int(cfg.get("k", 0)),
-                         kappa=float(cfg.get("kappa", 1.0)),
-                         c=float(cfg.get("c", 1.0)),
-                         T=float(cfg.get("T", 1.0)),
-                         delta=float(cfg.get("delta", 0.5)))
+    defaults = {"d": 1, "alpha": 1.5, "k": 0, "kappa": 1.0, "c": 1.0,
+                "T": 1.0, "delta": 0.5}
+    return builtin_model(str(spec), **{
+        name: _number(cfg.get(name, value), name, type(value))
+        for name, value in defaults.items()})
 
 
 def _common_run_params(cfg: dict, model: PdeModel):
-    T = float(cfg.get("T", 1.0))
-    t = float(cfg.get("t", 0.0))
+    T = _number(cfg.get("T", 1.0), "T")
+    t = _number(cfg.get("t", 0.0), "t")
     if not 0.0 <= t <= T:
         raise ConfigError(f"require 0 <= t <= T, got t={t}, T={T}")
-    n_trees = int(cfg.get("n_trees", 100_000))
+    n_trees = _number(cfg.get("n_trees", 100_000), "n_trees", int)
     if n_trees < 2:
         raise ConfigError("n_trees must be >= 2")
-    seed = int(cfg.get("seed", 0))
-    workers = resolve_workers(int(cfg.get("workers", 1)))
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    workers = resolve_workers(_number(cfg.get("workers", 1), "workers", int))
     b = cfg.get("budget", {})
-    budget = TreeBudget(
-        max_particles=int(b.get("max_particles", DEFAULT_BUDGET.max_particles)),
-        max_generation=int(b.get("max_generation", DEFAULT_BUDGET.max_generation)))
-    x = np.asarray(cfg.get("x", [0.0] * model.d), dtype=float).reshape(-1)
+    if not isinstance(b, dict):
+        raise ConfigError(f"budget must be an object, got {b!r}")
+    budget = TreeBudget(**{
+        name: _number(b.get(name, getattr(DEFAULT_BUDGET, name)),
+                      f"budget.{name}", int)
+        for name in ("max_particles", "max_generation")})
+    x = cfg.get("x", [0.0] * model.d)
+    x = np.array([_number(v, "x")
+                  for v in (x if isinstance(x, list) else [x])])
     if x.size == 1 and model.d > 1:
         x = np.full(model.d, float(x[0]))
     if x.size != model.d:
@@ -202,9 +217,10 @@ def _strict_gate(cfg: dict, model: PdeModel) -> bool:
     """With "strict" set, refuse to run when the horizon check fails."""
     if not cfg.get("strict"):
         return True
-    p = float(cfg.get("p", 2.0))
+    p = _number(cfg.get("p", 2.0), "p")
     eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
-    report = build_horizon_report(model, eta, p, float(cfg.get("T", 1.0)),
+    report = build_horizon_report(model, eta, p,
+                                  _number(cfg.get("T", 1.0), "T"),
                                   paper_literal=bool(cfg.get("paper_literal")))
     if report.verdict == "uncertified":
         print(f"horizon check uncertified at p={p}; refusing to run "
@@ -231,7 +247,7 @@ def cmd_estimate(cfg: dict) -> int:
     T, t, n_trees, seed, workers, budget, x = _common_run_params(cfg, model)
     if not _strict_gate(cfg, model):
         return EXIT_UNCERTIFIED
-    mark = int(cfg.get("mark", 0))
+    mark = _number(cfg.get("mark", 0), "mark", int)
     res = estimate(model, t, x, mark, T, n_trees, master_seed=seed,
                    workers=workers, budget=budget)
     out = cfg.get("out")
@@ -260,7 +276,7 @@ def cmd_sweep(cfg: dict) -> int:
     T, t, n_trees, seed, workers, budget, x = _common_run_params(cfg, model)
     if not _strict_gate(cfg, model):
         return EXIT_UNCERTIFIED
-    mark = int(cfg.get("mark", 0))
+    mark = _number(cfg.get("mark", 0), "mark", int)
     x1s = _parse_grid(cfg.get("grid", "-1.5:1.5:61"))
     points = np.tile(x, (x1s.size, 1))
     points[:, 0] = x1s
@@ -277,12 +293,13 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_check(cfg: dict) -> int:
     model = resolve_model(cfg)
-    p = float(cfg.get("p", 2.0))
-    T = float(cfg.get("T", 1.0))
+    p = _number(cfg.get("p", 2.0), "p")
+    T = _number(cfg.get("T", 1.0), "T")
     m0 = cfg.get("m0")
     eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
     report = build_horizon_report(model, eta, p, T,
-                                  m0=None if m0 is None else int(m0),
+                                  m0=None if m0 is None
+                                  else _number(m0, "m0", int),
                                   paper_literal=bool(cfg.get("paper_literal")))
     doc = dataclasses.asdict(report)
     doc["notes"] = list(doc["notes"])
@@ -300,12 +317,14 @@ def cmd_check(cfg: dict) -> int:
 
 
 def cmd_sample_diag(cfg: dict) -> int:
-    alpha = float(cfg.get("alpha", 1.5))
-    t = float(cfg.get("t", 1.0))
-    n = int(cfg.get("n_samples", cfg.get("n_trees", 100_000)))
-    if not 0.0 < alpha <= 2.0 or t <= 0.0 or n < 1:
-        raise ConfigError("sample-diag needs alpha in (0,2], t > 0, n >= 1")
-    seed = int(cfg.get("seed", 0))
+    alpha = _number(cfg.get("alpha", 1.5), "alpha")
+    t = _number(cfg.get("t", 1.0), "t")
+    n = _number(cfg.get("n_samples", cfg.get("n_trees", 100_000)),
+                "n_samples", int)
+    if not (0.0 < alpha <= 2.0 and 0.0 < t < math.inf and n >= 1):
+        raise ConfigError("sample-diag needs alpha in (0,2], finite t > 0, "
+                          "n >= 1")
+    seed = _number(cfg.get("seed", 0), "seed", int)
     rng = RngStream(seed, 0)
     samples = sample_stable_subordinator(alpha, t, rng, size=n)
     out = cfg.get("out")

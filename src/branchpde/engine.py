@@ -26,15 +26,16 @@ skeleton serves every point of a sweep.
 Each row stores one weight, W over its survival or q_l rho denominator.
 Once a batch is grown, one plan per run prepares its evaluation at all of
 the run's points, which then take blocks of at most EVAL_BLOCK_CELLS rows x
-points.  The plan folds what does not depend on the point into per-tree
-(dead, sign, log|.|) sums: the weight of every row, and the whole factor of
-every category with a constant coefficient.  Each point then folds only phi
-at x + displacement over the leaves and c_l at the interior deaths of the
-other categories.  phi and c_l of the catalog's radial models (ScaledBump,
-NldSource, GraddSource) read |x + disp|^2 and sum_j (x + disp)_j, continued
-from the plan's per-row sums of the displacements over the coordinates
-above the last one that is nonzero in any of the run's points, one column
-at a time below it; the others are called at x + disp point by point.
+points.  The plan multiplies what does not depend on the point into one
+product per tree: the weight of every row, and the whole factor of every
+category with a constant coefficient.  Each point then multiplies in only
+phi at x + displacement over the leaves and c_l at the interior deaths of
+the other categories.  phi and c_l of the catalog's radial models
+(ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
+sum_j (x + disp)_j, continued from the plan's per-row sums of the
+displacements over the coordinates above the last one that is nonzero in
+any of the run's points, one column at a time below it; the others are
+called at x + disp point by point.
 A point's values are the same bits whatever other points share its block
 or its run.  Randomness is drawn from one stream per fixed-size batch, so
 estimates are bit-identical for any worker count.
@@ -115,16 +116,13 @@ def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
     """
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt >= 0.0):
         raise DomainError("dt must be non-negative")
-    if alpha == 2.0:
-        ds = 2.0 * kappa * np.broadcast_to(dt, size)
-    else:
-        unit = sample_stable_subordinator(alpha, 1.0, rng, size=size)
-        ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
+    unit = sample_stable_subordinator(alpha, 1.0, rng, size=size)
+    ds = kappa ** (2.0 / alpha) * dt ** (2.0 / alpha) * unit
     dx = rng.gen.standard_normal((size, d))
     dx *= np.sqrt(ds)[:, None]
     return ds, dx
@@ -312,25 +310,22 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
                      particles=particles, generations=gen)
 
 
-def _fold(tree: np.ndarray, factor: np.ndarray, n: int):
-    """Per tree of ``n``: whether a factor is exactly 0, whether an odd
-    number of factors is negative, and the sum of log|factor| over the
-    nonzero factors, each row adding in row order."""
-    dead = np.zeros(n, dtype=bool)
-    dead[tree[factor == 0.0]] = True
-    odd = np.bincount(tree[factor < 0.0], minlength=n) % 2 == 1
-    log_abs = np.abs(factor)
-    np.log(log_abs, out=log_abs, where=log_abs > 0.0)
-    return dead, odd, np.bincount(tree, weights=log_abs, minlength=n)
+def _multiply(out: np.ndarray, tree: np.ndarray, factor: np.ndarray):
+    """Multiply each row's ``factor`` into ``out[tree]``, in row order.  A
+    tree with an exactly zero factor is 0, whatever its other factors."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by _evaluate
+        np.multiply.at(out, tree, factor)
+    out[tree[factor == 0.0]] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
 class _Plan:
     """How to evaluate one skeleton under one model at the points of a run.
 
-    ``dead``, ``odd`` and ``log_abs`` fold, per tree, the point-independent
-    factors: the weight of every row and the whole factor of every category
-    with a constant coefficient.  The point-dependent rows are the leaves
+    ``base`` is, per tree, the product of the point-independent factors:
+    the weight of every row and the whole factor of every category with a
+    constant coefficient.  The point-dependent rows are the leaves
     and the rows of each category whose coefficient is not constant, kind by
     kind; ``tree`` is their tree index.  ``terms`` holds, per such kind, its
     callable (phi or c_l), the death times of its rows (None for the
@@ -339,9 +334,7 @@ class _Plan:
     number of points a call of ``_evaluate`` takes.
     """
 
-    dead: np.ndarray
-    odd: np.ndarray
-    log_abs: np.ndarray
+    base: np.ndarray
     tree: np.ndarray
     terms: tuple
     marked: np.ndarray
@@ -384,9 +377,9 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
                            for k in kinds])
     births = term(phi, [sk.marked_birth]) if sk.marked_rows.size else ()
     rows = tree.size + sk.marked_rows.size
-    return _Plan(*_fold(sk.tree, factor, sk.particles.size), tree=tree,
-                 terms=tuple(terms), marked=sk.marked_rows, births=births,
-                 block=max(1, EVAL_BLOCK_CELLS // max(rows, 1)))
+    return _Plan(base=_multiply(np.ones(sk.particles.size), sk.tree, factor),
+                 tree=tree, terms=tuple(terms), marked=sk.marked_rows,
+                 births=births, block=max(1, EVAL_BLOCK_CELLS // max(rows, 1)))
 
 
 def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
@@ -429,14 +422,14 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
     ``points`` (a (G, d) block of the run's points): an (n, G) array,
     column g for point g.
 
-    Each point folds only its point-dependent factors onto the plan's
-    fold: phi at x + displacement for every leaf, minus phi at birth for
-    the marked leaves, and c_l at the interior deaths of each category
-    whose coefficient is not constant.  A point's column does not depend on
-    the other points of the block.  A tree with an exactly zero factor has
-    H = 0; raises ProductOverflowError if any other product is not finite.
+    Each point's column starts from the plan's ``base`` and multiplies in
+    its point-dependent factors: phi at x + displacement for every leaf,
+    minus phi at birth for the marked leaves, and c_l at the interior deaths
+    of each category whose coefficient is not constant.  A point's column
+    does not depend on the other points of the block.  A tree with an
+    exactly zero factor has H = 0; raises ProductOverflowError if any other
+    product is not finite.
     """
-    n = plan.dead.size
     points = np.asarray(points, dtype=float)
     # one (G, rows) array of factors per point-dependent kind
     parts = [_values(*term, points) for term in plan.terms]
@@ -445,20 +438,14 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
         for leaves, birth in zip(parts[0], births):
             leaves[plan.marked] -= birth
 
-    h = np.zeros((len(points), n))
+    h = np.tile(plan.base, (len(points), 1))
     for g, out in enumerate(h):
-        factor = np.concatenate([part[g] for part in parts])
-        dead, odd, log_abs = _fold(plan.tree, factor, n)
-        live = ~(dead | plan.dead)
-        log_abs += plan.log_abs
-        # dead trees' sums are not products; exponentiate live ones only
-        with np.errstate(over="ignore"):    # an overflow is raised below
-            np.exp(log_abs, out=out, where=live)
-        np.negative(out, out=out, where=(odd ^ plan.odd) & live)
+        _multiply(out, plan.tree, np.concatenate([part[g] for part in parts]))
+    h[:, plan.base == 0.0] = 0.0
     if not np.all(np.isfinite(h)):
         raise ProductOverflowError(
-            "a tree product overflowed to a non-finite value; shrink T - t "
-            "or the coefficients")
+            "a tree product is not finite (it overflowed, or a factor is "
+            "NaN); shrink T - t or the coefficients")
     return h.T
 
 

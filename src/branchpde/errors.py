@@ -68,7 +68,8 @@ class BudgetExceededError(BranchPdeError):
 
 
 class ProductOverflowError(BranchPdeError):
-    """A tree's product of factors overflowed to a non-finite value."""
+    """A tree's product of factors is not finite: it overflowed, or a factor
+    is NaN."""
 
 
 class DegenerateDerivativeError(BranchPdeError, ValueError):

@@ -29,7 +29,8 @@ import numpy as np
 from scipy import integrate as _integrate
 
 from .bernstein import (LaplaceExponent, check_integrability_cd,
-                        fit_decay_exponent, laplace_power_integral)
+                        fit_decay_exponent, laplace_power_integral,
+                        neg_moment_stable)
 from .errors import AdmissibilityError, DomainError, NotLipschitzError
 from .model import LifetimeDensity, PdeModel
 from .specfun import gamma_fn, upper_reg_gamma
@@ -65,8 +66,8 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
     decay exponent of the integrand of the double integral; convergence needs
     the fitted exponent above -1 + guard, with a symmetric inconclusive band.
     """
-    if delta <= 0.0 or p < 1.0 or T <= 0.0:
-        raise DomainError("require delta > 0, p >= 1, T > 0")
+    if not (delta > 0.0 and p >= 1.0 and 0.0 < T < math.inf):
+        raise DomainError("require delta > 0, p >= 1, 0 < T < inf")
     rho = LifetimeDensity(delta).rho
 
     e_rho = (1.0 - delta) * (p - 1.0)
@@ -100,12 +101,6 @@ def _gamma_sup(b: float, c: float, scale: float, T: float) -> float:
     return scale * T ** b * math.exp(c * T)
 
 
-def _stable_moment_const(p: float, alpha: float) -> float:
-    """2 Gamma(p/alpha) / (2^(p/2) alpha Gamma(p/2)), the s^(p/alpha)-scaled
-    negative moment E[S_s^(-p/2)] of the stable subordinator."""
-    return 2.0 * gamma_fn(p / alpha) / (2.0 ** (p / 2.0) * alpha * gamma_fn(p / 2.0))
-
-
 def _c_partial(model: PdeModel, p: float, paper_literal: bool) -> float:
     lip = model.terminal.lipschitz
     if lip is None:
@@ -123,10 +118,11 @@ def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
         (sup_l |c_l| / q_min)^e * max(M kappa^(-p/a) sup s^(-p/a) / rho^e(s),
                                       sup 1 / rho^e(s)),
 
-    with M the stable negative-moment constant and the sups over (0, T].
+    with M = E[S_1^(-p/2)] the unit-time negative moment of the stable
+    subordinator and the sups over (0, T].
     """
-    if p < 1.0 or T <= 0.0:
-        raise DomainError("require p >= 1 and T > 0")
+    if not (p >= 1.0 and 0.0 < T < math.inf):
+        raise DomainError("require p >= 1 and 0 < T < inf")
     alpha = model.alpha
     if not 1.0 < alpha <= 2.0:
         raise AdmissibilityError("horizon bounds require alpha in (1, 2]")
@@ -138,7 +134,8 @@ def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
     sup_c = max(model.nonlinearity.coeff_sup)
     q_min = model.branching.q_min
     return (sup_c ** e / q_min ** e
-            * max(_stable_moment_const(p, alpha) * kappa_scale * sup1, sup2))
+            * max(neg_moment_stable(p / 2.0, alpha, 1.0) * kappa_scale * sup1,
+                  sup2))
 
 
 def horizon_bound_a(model: PdeModel, p: float, T: float,

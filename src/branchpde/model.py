@@ -55,6 +55,10 @@ def radial_args(x):
 class ConstantCoefficient:
     value: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise DomainError(f"coefficient must be finite, got {self.value}")
+
     def __call__(self, t, x):
         return np.full(np.shape(x)[0], self.value)
 
@@ -208,6 +212,8 @@ class PolynomialNonlinearity:
                                   "non-negative entries")
         if not len(self.indices) == len(self.coeffs) == len(self.coeff_sup):
             raise DomainError("indices, coeffs and coeff_sup must align")
+        if not all(sup >= 0.0 for sup in self.coeff_sup):
+            raise DomainError("coeff_sup must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,8 @@ class TerminalCondition:
     lipschitz: float | None      # None means "not Lipschitz"
 
     def __post_init__(self):
-        if self.sup_norm < 0 or (self.lipschitz is not None and self.lipschitz < 0):
+        if not (self.sup_norm >= 0
+                and (self.lipschitz is None or self.lipschitz >= 0)):
             raise DomainError("sup_norm and lipschitz must be non-negative")
 
 
@@ -229,9 +236,9 @@ class BranchingLaw:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if np.any(p <= 0.0):
+        if not np.all(p > 0.0):
             raise DomainError("branching probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise DomainError(f"branching probabilities sum to {p.sum()}, not 1")
 
     @property
@@ -250,8 +257,9 @@ class LifetimeDensity:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise DomainError(f"gamma shape must be positive, got {self.delta}")
+        if not 0.0 < self.delta < np.inf:
+            raise DomainError(
+                f"gamma shape must be positive and finite, got {self.delta}")
 
     def rho(self, s):
         """The density; at s = 0 with delta < 1 it is the +inf limit, so an
@@ -279,8 +287,9 @@ class PdeModel:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise AdmissibilityError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.kappa <= 0.0:
-            raise AdmissibilityError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise AdmissibilityError(
+                f"kappa must be positive and finite, got {self.kappa}")
         if len(self.branching.probs) != len(self.nonlinearity.indices):
             raise DomainError("branching law must align with L_m")
 

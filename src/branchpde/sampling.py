@@ -33,6 +33,9 @@ class RngStream:
     cms_resamples: int = field(default=0, init=False)
 
     def __post_init__(self):
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise DomainError(
+                f"seed must lie in [0, 2^64), got {self.master_seed}")
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
@@ -51,8 +54,8 @@ def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size):
     """
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if alpha == 2.0:
         return np.full(size, 2.0 * t)
     a = alpha / 2.0
@@ -74,7 +77,7 @@ def sample_stable_subordinator(alpha: float, t: float, rng: RngStream, size):
 
 def sample_lifetime(delta: float, rng: RngStream, size):
     """Gamma(shape delta, rate 1) lifetime samples."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DomainError(f"gamma shape must be positive, got {delta}")
     return rng.gen.gamma(delta, size=size)
 

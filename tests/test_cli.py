@@ -27,6 +27,8 @@ def _write_cfg(tmp_path, name, doc):
 
 LINEAR_CFG = {"model": "linear-test", "alpha": 1.5, "c": 0.8, "t": 0.5,
               "T": 1.0, "n_trees": 20_000, "seed": 3}
+_INLINE = {"d": 1, "indices": [[1]], "coeffs": [1.0], "coeff_sup": [1.0],
+           "terminal": {"expr": "1", "sup": 1.0}}
 
 
 def _unwritable_fails_fast(command, cfg, tmp_path, capsys, monkeypatch):
@@ -272,6 +274,53 @@ class TestConfigErrors:
                          {**LINEAR_CFG, "x": [0.0, 1.0, 2.0]})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, doc", [
+        ("sample-diag", {"t": math.nan, "n_samples": 10}),
+        ("estimate", {"model": "burgers-cosine", "d": 2, "kappa": math.nan,
+                      "t": 0.5, "n_trees": 200}),
+        ("estimate", {"model": {**_INLINE, "coeffs": [math.nan]},
+                      "t": 0.5, "n_trees": 200}),
+        ("estimate", {"model": {**_INLINE, "q": [math.nan]},
+                      "t": 0.5, "n_trees": 200}),
+        ("estimate", {**LINEAR_CFG, "c": math.nan}),
+        ("estimate", {**LINEAR_CFG, "delta": math.nan}),
+        ("check", {"model": "linear-test", "T": math.nan}),
+    ], ids=["sample-diag-t", "kappa", "inline-coeff", "inline-q",
+            "linear-c", "delta", "check-T"])
+    def test_nan_is_refused(self, tmp_path, command, doc):
+        cfg = _write_cfg(tmp_path, "cfg.json", doc)
+        with _deadline(10.0):
+            assert main([command, "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, doc, flags", [
+        (command, {**LINEAR_CFG, "grid": "0:1:2", "n_samples": 10},
+         ["--seed", seed])
+        for command in ("estimate", "sweep", "sample-diag")
+        for seed in ("-1", str(2 ** 64))] + [
+        ("estimate", {**LINEAR_CFG, "n_trees": "abc"}, []),
+        ("estimate", {**LINEAR_CFG, "T": "x"}, []),
+        ("estimate", {**LINEAR_CFG, "x": "abc"}, []),
+        ("estimate", {**LINEAR_CFG, "mark": "a"}, []),
+        ("estimate", {**LINEAR_CFG, "budget": "x"}, []),
+        ("estimate", {**LINEAR_CFG, "model": "nld", "d": "x"}, []),
+        ("estimate", {**LINEAR_CFG, "model": "nld", "d": 2.5}, []),
+        ("check", {"model": "linear-test", "p": "x"}, []),
+        ("sample-diag", {"n_samples": "x"}, []),
+        ("estimate", {**LINEAR_CFG,
+                      "model": {**_INLINE, "indices": [[1.5]]}}, []),
+        ("estimate", {**LINEAR_CFG, "model": {**_INLINE, "q": ["1"]}}, []),
+    ], ids=[f"{command}-seed{seed}"
+            for command in ("estimate", "sweep", "sample-diag")
+            for seed in ("-1", "2^64")] + [
+        "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
+        "n_samples", "inline-index-fraction", "inline-q-string"])
+    def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
+        cfg = _write_cfg(tmp_path, "cfg.json", doc)
+        assert main([command, "--config", cfg] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(_TYPED_EXITS[EXIT_CONFIG])
+        assert "Traceback" not in err
+
     def test_non_string_out(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "out": 5})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
@@ -327,7 +376,7 @@ _CATALOG = st.fixed_dictionaries({
 
 
 @contextlib.contextmanager
-def _alarm(seconds):
+def _deadline(seconds):
     """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
     def expire(signum, frame):
         raise TimeoutError(f"did not return within {seconds} s")
@@ -364,7 +413,7 @@ class TestConfigSpace:
             path.write_text(json.dumps(cfg))
             out = pathlib.Path(tmp) / "r.csv"
             err = io.StringIO()
-            with _alarm(30.0), contextlib.redirect_stderr(err):
+            with _deadline(30.0), contextlib.redirect_stderr(err):
                 code = main(["sweep", "--config", str(path),
                              "--out", str(out)])
             event(f"exit {code}")

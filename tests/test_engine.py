@@ -8,6 +8,7 @@ import pickle
 import signal
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,27 +224,25 @@ def _nbytes(obj) -> int:
 
 
 def _particle_products(model, skeleton, x) -> list:
-    """Per-tree products of a skeleton at x, one particle and one plain
-    multiplication at a time."""
+    """Exact per-tree products of a skeleton at x: each particle's float
+    factors (its weight, and phi or c_l), multiplied as Fractions."""
     sk = skeleton
     phi = model.terminal.phi
     n_leaves = sk.bounds[1]
     disp = np.concatenate([chunk for kind in sk.disp for chunk in kind])
     births = dict(zip(sk.marked_rows.tolist(), sk.marked_birth))
-    h = [1.0] * sk.particles.size
+    h = [Fraction(1)] * sk.particles.size
     for row in range(sk.tree.size):
         pos = (x + disp[row])[None, :]
         if row < n_leaves:
             value = float(phi(pos)[0])
             if row in births:
                 value -= float(phi((x + births[row])[None, :])[0])
-            factor = value * sk.weight[row]
         else:
             ci = bisect.bisect_right(sk.bounds, row) - 2
             death = sk.death[row - n_leaves:row - n_leaves + 1]
-            c_val = float(model.nonlinearity.coeffs[ci](death, pos)[0])
-            factor = c_val * sk.weight[row]
-        h[sk.tree[row]] *= factor
+            value = float(model.nonlinearity.coeffs[ci](death, pos)[0])
+        h[sk.tree[row]] *= Fraction(value) * Fraction(sk.weight[row])
     return h
 
 
@@ -267,9 +266,14 @@ class TestFlatSkeleton:
         assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
                               skeleton.particles)
         h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
-        ref = np.array(_particle_products(model, skeleton, x))
-        assert np.array_equal(h == 0.0, ref == 0.0)
-        np.testing.assert_allclose(h, ref, rtol=1e-12, atol=0.0)
+        ref = _particle_products(model, skeleton, x)
+        # each particle's factors take at most two roundings
+        for value, exact, size in zip(h, ref, skeleton.particles):
+            if exact == 0:
+                assert value == 0.0
+            else:
+                error = abs(Fraction(float(value)) - exact)
+                assert error <= 2 * (size + 1) * Fraction(2) ** -53 * abs(exact)
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(["nld", "gradd", "burgers-cosine"]),
@@ -403,6 +407,21 @@ class TestBudgets:
         assert type(again) is ProductOverflowError
         assert str(again) == str(err.value)
 
+    def test_nan_terminal_is_typed(self):
+        nonlin = PolynomialNonlinearity(
+            d=1, m=0, indices=((1,),), coeffs=(ConstantCoefficient(1.0),),
+            coeff_sup=(1.0,))
+        terminal = TerminalCondition(phi=lambda x: np.full(len(x), math.nan),
+                                     sup_norm=1.0, lipschitz=None)
+        model = PdeModel(name="nan", d=1, alpha=1.5, kappa=1.0,
+                         nonlinearity=nonlin, terminal=terminal,
+                         branching=uniform_branching(1),
+                         lifetime=LifetimeDensity(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProductOverflowError):
+                estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=100)
+
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             TreeBudget(max_particles=0)
@@ -439,6 +458,23 @@ class TestZeroFraction:
         h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
         assert 0.0 < res.zero_frac < 1.0
         assert res.zero_frac == np.count_nonzero(h == 0.0) / 4_000
+
+    def test_zero_beats_overflow(self, tmp_path):
+        # the product overflow case of TestBudgets, with phi = 0: every tree
+        # has a leaf, so every product is 0, however large its other factors
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"d": 1, "indices": [[2]], "coeffs": [1e300],
+                      "coeff_sup": [1e300],
+                      "terminal": {"expr": "0", "sup": 0.0}},
+            "t": 0.0, "T": 1.0, "n_trees": 2_000, "seed": 1}))
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "r.csv.json").read_text())
+        assert doc["mean"] == 0.0 and doc["zero_frac"] == 1.0
 
 
 class TestValidation:

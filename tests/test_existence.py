@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from branchpde.bernstein import Relativistic, Stable, neg_moment_stable
+from branchpde.bernstein import Relativistic, Stable
 from branchpde.errors import (AdmissibilityError, DomainError,
                               NotLipschitzError)
 from branchpde.existence import (HorizonReport, abs_gaussian_moment,
@@ -147,14 +147,6 @@ class TestHorizonBoundA:
         c1 = horizon_bound_a(_toy_model(kappa=1.0), p, T)[0]
         c2 = horizon_bound_a(_toy_model(kappa=2.0), p, T)[0]
         assert c2 == pytest.approx(2.0 ** (-p / 2.0) * c1, rel=1e-12)
-
-    def test_stable_moment_consistency(self):
-        # the constant in C_circ is the unit-time negative moment
-        # E[S_1^(-p/2)] of the stable subordinator
-        from branchpde.existence import _stable_moment_const
-        for p, alpha in [(1.0, 1.5), (2.0, 1.2), (1.5, 1.8)]:
-            assert _stable_moment_const(p, alpha) == pytest.approx(
-                neg_moment_stable(p / 2.0, alpha, 1.0), rel=1e-12)
 
     def test_admissibility(self):
         with pytest.raises(AdmissibilityError):
