@@ -2,7 +2,7 @@
 branching trees driven by subordinated Brownian motion."""
 
 from .bernstein import (BetaRatio, LaplaceExponent, LogCorrected, Relativistic,
-                        ScaledStable, Stable, StableWithDrift, SumOfStables,
+                        ScaledStable, StableWithDrift, SumOfStables,
                         check_integrability_cd, integrability_table,
                         neg_moment_numeric, neg_moment_stable)
 from .engine import (EstimatorResult, Grid, TreeBudget, estimate,
@@ -16,7 +16,7 @@ from .errors import (AccuracyError, AdmissibilityError, BranchPdeError,
 from .existence import (HorizonReport, abs_gaussian_moment,
                         build_horizon_report, check_theorem2, horizon_bound_a,
                         horizon_bound_b)
-from .expressions import eval_expression, parse_expression, to_source
+from .expressions import eval_expression, parse_expression
 from .model import (BranchingLaw, LifetimeDensity, PdeModel,
                     PolynomialNonlinearity, TerminalCondition, builtin_model,
                     uniform_branching)

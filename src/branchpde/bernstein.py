@@ -29,8 +29,6 @@ from .specfun import gamma_fn
 class LaplaceExponent:
     """Base class; subclasses implement the closed form in _eval."""
 
-    kill_rate: float = 0.0
-
     def _eval(self, lam):
         raise NotImplementedError
 
@@ -40,20 +38,6 @@ class LaplaceExponent:
             raise DomainError("eta is defined for lambda >= 0")
         out = self._eval(lam)
         return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Stable(LaplaceExponent):
-    """eta(lambda) = (2 lambda)^(alpha/2), the alpha/2-stable subordinator."""
-
-    alpha: float = 1.5
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise DomainError(f"Stable requires alpha in (0, 2], got {self.alpha}")
-
-    def _eval(self, lam):
-        return (2.0 * lam) ** (self.alpha / 2.0)
 
 
 @dataclass(frozen=True)

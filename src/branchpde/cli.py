@@ -295,11 +295,8 @@ def cmd_check(cfg: dict) -> int:
     model = resolve_model(cfg)
     p = _number(cfg.get("p", 2.0), "p")
     T = _number(cfg.get("T", 1.0), "T")
-    m0 = cfg.get("m0")
     eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
     report = build_horizon_report(model, eta, p, T,
-                                  m0=None if m0 is None
-                                  else _number(m0, "m0", int),
                                   paper_literal=bool(cfg.get("paper_literal")))
     doc = dataclasses.asdict(report)
     doc["notes"] = list(doc["notes"])

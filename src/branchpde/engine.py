@@ -20,8 +20,9 @@ Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
 is independent of the root position x, which enters only by translation.  So
 a batch of trees is grown once, level-synchronously and rooted at the origin,
 into a skeleton stored flat by kind: every leaf, then the interior particles
-of each offspring category, each with its tree index and displacement.  One
-skeleton serves every point of a sweep.
+of each offspring category.  Each quantity (tree index, displacement, weight,
+death time) is one array with a row per particle, and a kind is a slice of
+its rows.  One skeleton serves every point of a sweep.
 
 Each row stores one weight, W over its survival or q_l rho denominator.
 Once a batch is grown, one plan per run prepares its evaluation at all of
@@ -37,8 +38,11 @@ displacements over the coordinates above the last one that is nonzero in
 any of the run's points, one column at a time below it; the others are
 called at x + disp point by point.
 A point's values are the same bits whatever other points share its block
-or its run.  Randomness is drawn from one stream per fixed-size batch, so
-estimates are bit-identical for any worker count.
+or its run.  Each block's tree values are reduced into the batch's one
+statistics record, (G,) arrays of the points' means, squared deviations and
+zero counts, and the records are merged in batch order.  Randomness is
+drawn from one stream per fixed-size batch, so estimates are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ BATCH_TREES = 25_000
 MAX_BATCH_PARTICLES = 2_000_000
 # Float cells of one evaluation temporary: rows x points of a block's
 # values (a fig1b batch, 40k point-dependent rows, takes 4 points a block)
-# and rows x coordinates of one generic phi or c_l call
 EVAL_BLOCK_CELLS = 160_000
+# Float cells of x + disp in one generic phi or c_l call, whose other
+# temporaries (one per operation of an inline expression) are as many rows
+CALL_BLOCK_CELLS = 20_000
 _MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
 
 
@@ -95,10 +101,14 @@ class EstimatorResult:
 
 @dataclass(frozen=True)
 class _BatchStats:
+    """One batch's trees and particles, and (G,) arrays over the points of
+    a run: the mean tree value, the sum of squared deviations from it and
+    the count of zero products."""
+
     n: int
-    mean: float
-    m2: float
-    zeros: int
+    mean: np.ndarray
+    m2: np.ndarray
+    zeros: np.ndarray
     sum_particles: int
     max_particles: int
 
@@ -148,23 +158,17 @@ class _Skeleton:
     Rows are grouped by kind, the leaves first and then the interior
     particles of each offspring category in turn: kind k holds the rows
     ``bounds[k]:bounds[k + 1]`` (k = 0 the leaves, k = 1 + l category l),
-    in generation and draw order within a kind.  ``weight`` is a particle's
-    derivative weight W over survival(T - birth) for a leaf, over
+    in generation and draw order within a kind.  ``disp`` is a particle's
+    displacement from the root at death (at T for a leaf).  ``weight`` is
+    its derivative weight W over survival(T - birth) for a leaf, over
     q_l rho(lifetime) for an interior particle.  ``death`` holds the death
     times of the interior rows (row r at r - bounds[1]); ``marked_rows`` are
     the leaves with a nonzero mark and ``marked_birth`` their birth
     displacements.  Nothing here depends on the root position.
-
-    ``disp[k]`` holds the displacements from the root at death (at T for a
-    leaf) of kind k's rows, in the same order, as one (rows, d) array per
-    generation: joining them would allocate the largest array of the batch
-    once more, and the freed pieces then keep the process heap, and its
-    resident size, larger from batch to batch (by 3.5 MB over 60 sweeps of
-    nld at d = 10).
     """
 
     tree: np.ndarray          # (N,) tree index
-    disp: tuple               # per kind, a list of (rows, d) arrays
+    disp: np.ndarray          # (N, d)
     weight: np.ndarray        # (N,)
     death: np.ndarray         # (N - bounds[1],)
     bounds: tuple             # row offset of each kind, and N
@@ -197,10 +201,9 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
 
     Every draw is independent of the root position, so one skeleton serves
     any number of points.  Each level's particles are filed by kind as they
-    are drawn; once growth stops, every field but the displacements is
-    joined into one flat array.  Raises BudgetExceededError if a tree
-    outgrows the budget or the batch would store more than
-    MAX_BATCH_PARTICLES particles.
+    are drawn; once growth stops, each field is joined into one flat array.
+    Raises BudgetExceededError if a tree outgrows the budget or the batch
+    would store more than MAX_BATCH_PARTICLES particles.
     """
     lifetime = model.lifetime
     q_probs = np.asarray(model.branching.probs, dtype=float)
@@ -302,7 +305,7 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
     sizes = [sum(len(c) for c in kind) for kind in fields["tree"]]
     d = (model.d,)
     return _Skeleton(tree=_join(fields["tree"], dtype=np.int64),
-                     disp=tuple(fields["disp"]),
+                     disp=_join(fields["disp"], d),
                      weight=_join(fields["weight"]), death=_join(deaths),
                      bounds=tuple(int(b) for b in np.cumsum([0] + sizes)),
                      marked_rows=_join([marked_rows], dtype=np.int64),
@@ -348,34 +351,33 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
 
     A radial callable reads its rows as |disp|^2 and sum_j disp_j over the
     coordinates above ``top``, summed as ``radial_args`` sums them, and the
-    columns 0..top, where ``top`` is the last coordinate that is nonzero in
-    some point.  Any other callable reads the displacement chunks.
+    columns 0..top, copied, where ``top`` is the last coordinate that is
+    nonzero in some point.  Any other callable reads its rows of the
+    skeleton's displacements.
     """
     nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
     top = int(nonzero[-1]) if nonzero.size else 0
 
-    def term(fn, chunks, times=None):
-        if not chunks or not hasattr(fn, "radial"):
-            return fn, times, chunks
-        r2, s = zip(*(radial_args(c[:, top + 1:]) for c in chunks))
-        columns = [np.concatenate([c[:, j] for c in chunks])
-                   for j in range(top + 1)]
-        return fn, times, (np.concatenate(r2), np.concatenate(s), columns)
+    def term(fn, disp, times=None):
+        if not hasattr(fn, "radial"):
+            return fn, times, disp
+        r2, s = radial_args(disp[:, top + 1:])
+        return fn, times, (r2, s, [disp[:, j].copy() for j in range(top + 1)])
 
     phi = model.terminal.phi
     factor = sk.weight.copy()
-    kinds, terms = [0], [term(phi, sk.disp[0])]
+    kinds, terms = [0], [term(phi, sk.disp[:sk.bounds[1]])]
     for ci, coeff in enumerate(model.nonlinearity.coeffs):
         lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
         if isinstance(coeff, ConstantCoefficient):
             factor[lo:hi] *= coeff.value
         elif hi > lo:
             kinds.append(ci + 1)
-            terms.append(term(coeff, sk.disp[ci + 1],
+            terms.append(term(coeff, sk.disp[lo:hi],
                               sk.death[lo - sk.bounds[1]:hi - sk.bounds[1]]))
     tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
                            for k in kinds])
-    births = term(phi, [sk.marked_birth]) if sk.marked_rows.size else ()
+    births = term(phi, sk.marked_birth) if sk.marked_rows.size else ()
     rows = tree.size + sk.marked_rows.size
     return _Plan(base=_multiply(np.ones(sk.particles.size), sk.tree, factor),
                  tree=tree, terms=tuple(terms), marked=sk.marked_rows,
@@ -389,10 +391,8 @@ def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
     A radial ``fn`` gets |x + disp|^2 and sum_j (x + disp)_j, continued
     from the plan's tails one column at a time, never x + disp itself.  Any
     other ``fn`` is called at x + disp one point at a time, in row blocks of
-    at most EVAL_BLOCK_CELLS cells.
+    at most CALL_BLOCK_CELLS cells.
     """
-    if not rows:
-        return np.empty((len(points), 0))
     radial = getattr(fn, "radial", None)
     if radial is not None:
         r2, s, columns = rows
@@ -403,17 +403,13 @@ def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
             y += r2
             r2 = y
         return radial(r2, s) if times is None else radial(times, r2, s)
-    out = np.empty((len(points), sum(len(c) for c in rows)))
-    step = max(1, EVAL_BLOCK_CELLS // points.shape[1])
+    out = np.empty((len(points), len(rows)))
+    step = max(1, CALL_BLOCK_CELLS // points.shape[1])
     for x, row_out in zip(points, out):
-        row = 0
-        for chunk in rows:
-            for lo in range(0, len(chunk), step):
-                at = x + chunk[lo:lo + step]
-                hi = row + len(at)
-                row_out[row:hi] = (fn(at) if times is None
-                                   else fn(times[row:hi], at))
-                row = hi
+        for lo in range(0, len(rows), step):
+            at = x + rows[lo:lo + step]
+            row_out[lo:lo + step] = (fn(at) if times is None
+                                     else fn(times[lo:lo + step], at))
     return out
 
 
@@ -465,29 +461,24 @@ def _validate_point(model, t, x, mark, T):
 
 
 def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
-                 batch_size, budget) -> list:
+                 batch_size, budget) -> _BatchStats:
     """Grow batch ``batch_idx`` once, plan its evaluation at all of
     ``points`` and evaluate it a block of points at a time."""
     rng = RngStream(master_seed, (mark << _MARK_SHIFT) | batch_idx)
     skeleton = _grow_skeleton(model, t, mark, T, batch_size, rng, budget)
-    sum_particles = int(np.sum(skeleton.particles))
-    max_particles = int(np.max(skeleton.particles))
-
-    def point_stats(h) -> _BatchStats:
-        mean = float(np.mean(h))
-        return _BatchStats(n=batch_size, mean=mean,
-                           m2=float(np.sum((h - mean) ** 2)),
-                           zeros=int(np.count_nonzero(h == 0.0)),
-                           sum_particles=sum_particles,
-                           max_particles=max_particles)
-
     plan = _plan(model, skeleton, points)
-    stats = []
+    mean, m2 = np.empty(len(points)), np.empty(len(points))
+    zeros = np.empty(len(points), dtype=np.int64)
     for lo in range(0, len(points), plan.block):
         # a block's tree values are reduced, and freed, before the next block
-        stats += map(point_stats,
-                     _evaluate(plan, points[lo:lo + plan.block]).T)
-    return stats
+        h = _evaluate(plan, points[lo:lo + plan.block]).T
+        block = slice(lo, lo + len(h))
+        mean[block] = h.mean(axis=1)
+        m2[block] = ((h - mean[block, None]) ** 2).sum(axis=1)
+        zeros[block] = np.count_nonzero(h == 0.0, axis=1)
+    return _BatchStats(n=batch_size, mean=mean, m2=m2, zeros=zeros,
+                       sum_particles=int(np.sum(skeleton.particles)),
+                       max_particles=int(np.max(skeleton.particles)))
 
 
 def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
@@ -500,20 +491,20 @@ def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
                        max_particles=max(a.max_particles, b.max_particles))
 
 
-def _merge_batches(results) -> list:
-    """Per-point totals over the batches' per-point stats, in batch order.
+def _merge_batches(results) -> _BatchStats:
+    """The total over the batches' stats, merged in batch order.
 
     A batch that aborts raises here, carrying the count of trees merged
     before it.
     """
-    totals = None
+    total = None
     try:
         for res in results:
-            totals = res if totals is None else list(map(_merge, totals, res))
+            total = res if total is None else _merge(total, res)
     except BudgetExceededError as exc:
-        exc.completed_trees = 0 if totals is None else totals[0].n
+        exc.completed_trees = 0 if total is None else total.n
         raise
-    return totals
+    return total
 
 
 def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
@@ -529,26 +520,26 @@ def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
     batch = partial(_batch_stats, model, t, points, mark, T, master_seed,
                     budget=budget)
     if workers == 1 or len(sizes) == 1:
-        totals = _merge_batches(map(batch, range(len(sizes)), sizes))
+        total = _merge_batches(map(batch, range(len(sizes)), sizes))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        # under the fork start method a pool starts all of its workers at
+        # its first job, so it gets no more than there are batches
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(sizes)))
         try:
-            totals = _merge_batches(pool.map(batch, range(len(sizes)), sizes))
+            total = _merge_batches(pool.map(batch, range(len(sizes)), sizes))
         finally:
             pool.shutdown(cancel_futures=True)
 
     elapsed = time.perf_counter() - start
-    results = []
-    for total in totals:
-        stderr = float(np.sqrt(total.m2 / (total.n - 1) / total.n))
-        half = 1.959964 * stderr
-        results.append(EstimatorResult(
-            mean=total.mean, stderr=stderr,
-            ci95=(total.mean - half, total.mean + half), n_trees=total.n,
-            elapsed=elapsed, mean_tree_size=total.sum_particles / total.n,
-            max_tree_size=total.max_particles,
-            zero_frac=total.zeros / total.n))
-    return results
+    n = total.n
+    stderr = np.sqrt(total.m2 / (n - 1) / n)
+    half = 1.959964 * stderr
+    return [EstimatorResult(
+        mean=mean, stderr=se, ci95=(mean - h, mean + h), n_trees=n,
+        elapsed=elapsed, mean_tree_size=total.sum_particles / n,
+        max_tree_size=total.max_particles, zero_frac=zeros / n)
+        for mean, se, h, zeros in zip(total.mean.tolist(), stderr.tolist(),
+                                      half.tolist(), total.zeros.tolist())]
 
 
 class Grid:

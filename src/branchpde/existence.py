@@ -187,7 +187,6 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
 @dataclass(frozen=True)
 class HorizonReport:
     p: float
-    m0: int
     cond_rho: bool
     cond_eta: bool
     cd_check: bool
@@ -199,13 +198,9 @@ class HorizonReport:
 
 
 def build_horizon_report(model: PdeModel, eta: LaplaceExponent, p: float,
-                         T: float, m0: int | None = None,
+                         T: float,
                          paper_literal: bool = False) -> HorizonReport:
     """Evaluate both certification routes and the Theorem-2 hypotheses."""
-    if m0 is None:
-        m0 = model.m
-    if not model.m <= m0 <= model.d:
-        raise DomainError(f"m0 must lie in [{model.m}, {model.d}], got {m0}")
     t2 = check_theorem2(eta, model.lifetime.delta, p, T)
     notes = []
     if t2.inconclusive:
@@ -235,7 +230,7 @@ def build_horizon_report(model: PdeModel, eta: LaplaceExponent, p: float,
         verdict = "certified-b"
     else:
         verdict = "uncertified"
-    return HorizonReport(p=p, m0=m0, cond_rho=t2.cond_rho, cond_eta=t2.cond_eta,
+    return HorizonReport(p=p, cond_rho=t2.cond_rho, cond_eta=t2.cond_eta,
                          cd_check=t2.cd_check, C_circ=c_circ,
                          C_partial_ratio=ratio, t3b_bound=t3b, verdict=verdict,
                          notes=tuple(notes))

@@ -213,38 +213,6 @@ def parse_expression(src: str, d: int):
 
 
 # --------------------------------------------------------------------------
-# Pretty-printing (round-trips through parse_expression)
-# --------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def to_source(node, _prec=0) -> str:
-    """Render an AST back to grammar text; re-parsing yields an equal AST."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, VarT):
-        return "t"
-    if isinstance(node, VarX):
-        return f"x{node.index}"
-    if isinstance(node, Neg):
-        # unary minus binds tighter than every binary operator, so any BinOp
-        # argument needs parentheses
-        s = "-" + to_source(node.arg, 5)
-        return f"({s})" if _prec > 3 else s
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(to_source(a) for a in node.args)})"
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        # left-assoc for + - * /, right-assoc for ^
-        ls = to_source(node.left, p if node.op != "^" else p + 1)
-        rs = to_source(node.right, p + 1 if node.op != "^" else p)
-        s = f"{ls} {node.op} {rs}"
-        return f"({s})" if _prec > p else s
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# --------------------------------------------------------------------------
 # Evaluation
 # --------------------------------------------------------------------------
 

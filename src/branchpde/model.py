@@ -352,11 +352,14 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
     linear-test.
 
     ``T`` fixes the terminal condition of the manufactured solutions
-    (phi = e^(-T) Phi_(k,alpha)); ``c`` is the rate of linear-test; ``delta``
-    the gamma lifetime shape.
+    (phi = e^(-T) Phi_(k,alpha)), which solve the equation at kappa = 1
+    only, so nld and gradd refuse any other ``kappa``; ``c`` is the rate of
+    linear-test; ``delta`` the gamma lifetime shape.
     """
     if d < 1:
         raise AdmissibilityError(f"dimension must be positive, got {d}")
+    if name in ("nld", "gradd") and kappa != 1.0:
+        raise AdmissibilityError(f"{name} requires kappa = 1, got {kappa}")
     lifetime = LifetimeDensity(delta=delta)
 
     if name == "nld":

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 
@@ -15,3 +18,26 @@ def report_line(request):
             print(text)
 
     return _write
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    """``with deadline(seconds):`` raises TimeoutError in its block once
+    ``seconds`` of wall time pass.  Session-scoped, so Hypothesis tests can
+    take it too."""
+    return _deadline

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from branchpde.bernstein import (Stable, integrability_table,
+from branchpde.bernstein import (ScaledStable, integrability_table,
                                  neg_moment_numeric, neg_moment_stable)
 from branchpde.cli import main
 from branchpde.engine import estimate, sample_subordinated_increment
@@ -151,7 +151,7 @@ def test_criterion_06_negative_moments(report_line):
         alpha = rng.uniform(1.1, 1.9)
         t = rng.uniform(0.1, 5.0)
         closed = neg_moment_stable(p, alpha, t)
-        numeric = neg_moment_numeric(Stable(alpha=alpha), p, t)
+        numeric = neg_moment_numeric(ScaledStable(alpha=alpha), p, t)
         worst = max(worst, abs(numeric - closed) / closed)
     _check(report_line, 6, worst < 1e-7,
            f"negative moments: worst relative error {worst:.2e} < 1e-7 "
@@ -216,12 +216,14 @@ def test_criterion_09_existence_thresholds(report_line):
     failures = []
     # Corollary i at p = 1: convergence iff alpha > 1
     for alpha in (0.6, 0.7, 0.8, 0.9, 0.95, 1.05, 1.2, 1.4, 1.6, 1.8):
-        chk = check_theorem2(Stable(alpha=alpha), delta=0.5, p=1.0, T=1.0)
+        chk = check_theorem2(ScaledStable(alpha=alpha),
+                             delta=0.5, p=1.0, T=1.0)
         if chk.cond_eta != (alpha > 1.0):
             failures.append(("p=1", alpha))
     # Corollary ii at p = 2, alpha = 1.5: convergence iff delta < 2 - 2/alpha
     for delta in (0.2, 0.35, 0.5, 0.6, 0.63, 0.70, 0.75, 0.85, 1.0, 1.2):
-        chk = check_theorem2(Stable(alpha=1.5), delta=delta, p=2.0, T=1.0)
+        chk = check_theorem2(ScaledStable(alpha=1.5),
+                             delta=delta, p=2.0, T=1.0)
         if chk.cond_eta != (delta < 2.0 / 3.0):
             failures.append(("p=2", delta))
     _check(report_line, 9, not failures,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from branchpde.bernstein import (BetaRatio, LaplaceExponent, LogCorrected,
-                                 Relativistic, ScaledStable, Stable,
+                                 Relativistic, ScaledStable,
                                  StableWithDrift, SumOfStables,
                                  check_integrability_cd,
                                  integrability_table, neg_moment_numeric,
@@ -13,7 +13,6 @@ from branchpde.bernstein import (BetaRatio, LaplaceExponent, LogCorrected,
 from branchpde.errors import DivergenceError, DomainError
 
 ALL_FAMILIES = [
-    Stable(alpha=1.5),
     ScaledStable(alpha=1.5, kappa=3.0),
     StableWithDrift(a=0.5, mu=1.0, c=1.0, kill_rate=1.0),
     SumOfStables(a=1.0, b=1.0, alpha=0.2, beta=0.7),
@@ -27,20 +26,20 @@ ALL_FAMILIES = [
 
 class TestEvalEta:
     def test_stable_values(self):
-        assert Stable(alpha=2.0)(3.0) == pytest.approx(6.0)
-        assert Stable(alpha=1.5)(2.0) == pytest.approx(4.0 ** 0.75)
+        assert ScaledStable(alpha=2.0)(3.0) == pytest.approx(6.0)
+        assert ScaledStable(alpha=1.5)(2.0) == pytest.approx(4.0 ** 0.75)
         assert Relativistic(alpha=1.5, m=1.0)(0.0) == pytest.approx(0.0)
 
     def test_negative_lambda(self):
         with pytest.raises(DomainError):
-            Stable(alpha=1.5)(-1.0)
+            ScaledStable(alpha=1.5)(-1.0)
 
     @pytest.mark.parametrize("eta", ALL_FAMILIES, ids=lambda e: type(e).__name__)
     def test_bernstein_properties(self, eta):
         grid = np.geomspace(1e-6, 1e6, 200)
         vals = eta(grid)
         # vanishing at 0+ (modulo the kill rate)
-        assert eta(1e-12) - eta.kill_rate < 1e-4
+        assert eta(1e-12) - getattr(eta, "kill_rate", 0.0) < 1e-4
         # non-decreasing
         assert np.all(np.diff(vals) >= -1e-12)
         # concavity proxy on a log grid: divided differences decrease
@@ -48,20 +47,24 @@ class TestEvalEta:
         assert np.all(np.diff(dd) <= 1e-12)
 
     def test_stable_homogeneity(self):
-        eta = Stable(alpha=1.3)
+        eta = ScaledStable(alpha=1.3)
         for c in (0.5, 2.0, 7.0):
             for lam in (0.1, 1.0, 40.0):
                 assert eta(c * lam) == pytest.approx(c ** 0.65 * eta(lam), rel=1e-12)
 
+    def test_scaled_stable_positional(self):
+        eta = ScaledStable(1.2, 2.0)
+        assert (eta.alpha, eta.kappa) == (1.2, 2.0)
+
     def test_scaled_stable_pointwise(self):
-        base = Stable(alpha=1.7)
+        base = ScaledStable(alpha=1.7)
         scaled = ScaledStable(alpha=1.7, kappa=4.5)
         lam = np.geomspace(1e-3, 1e3, 50)
         np.testing.assert_allclose(scaled(lam), 4.5 * base(lam), rtol=1e-13)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            Stable(alpha=2.5)
+            ScaledStable(alpha=2.5)
         with pytest.raises(DomainError):
             SumOfStables(alpha=0.8, beta=0.7)
         with pytest.raises(DomainError):
@@ -72,9 +75,9 @@ class TestEvalEta:
 
 class TestIntegrabilityCd:
     def test_stable_verdicts(self):
-        assert check_integrability_cd(Stable(alpha=1.5)).converges
-        assert not check_integrability_cd(Stable(alpha=0.8)).converges
-        v = check_integrability_cd(Stable(alpha=1.0))
+        assert check_integrability_cd(ScaledStable(alpha=1.5)).converges
+        assert not check_integrability_cd(ScaledStable(alpha=0.8)).converges
+        v = check_integrability_cd(ScaledStable(alpha=1.0))
         assert not v.converges and v.inconclusive  # exponent exactly -1
 
     def test_relativistic(self):
@@ -87,7 +90,7 @@ class TestIntegrabilityCd:
             assert len(set(verdicts)) == 1
 
     def test_exponent_value(self):
-        v = check_integrability_cd(Stable(alpha=1.5))
+        v = check_integrability_cd(ScaledStable(alpha=1.5))
         assert v.fitted_exponent == pytest.approx(-1.25, abs=1e-6)
 
     def test_table_agreement(self):
@@ -115,12 +118,12 @@ class TestNegativeMoments:
             alpha = rng.uniform(1.1, 1.9)
             t = rng.uniform(0.1, 5.0)
             closed = neg_moment_stable(p, alpha, t)
-            numeric = neg_moment_numeric(Stable(alpha=alpha), p, t)
+            numeric = neg_moment_numeric(ScaledStable(alpha=alpha), p, t)
             assert numeric == pytest.approx(closed, rel=1e-7)
 
     def test_numeric_alpha2(self):
-        assert neg_moment_numeric(Stable(alpha=2.0), 1.0, 1.0) == pytest.approx(
-            0.5, rel=1e-8)
+        numeric = neg_moment_numeric(ScaledStable(alpha=2.0), 1.0, 1.0)
+        assert numeric == pytest.approx(0.5, rel=1e-8)
 
     def test_divergence_detected(self):
         @dataclass(frozen=True)

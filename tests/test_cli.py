@@ -4,7 +4,6 @@ import io
 import json
 import math
 import pathlib
-import signal
 import tempfile
 import warnings
 
@@ -200,7 +199,7 @@ class TestCheck:
         assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "certified-b"
-        assert set(doc) >= {"p", "m0", "cond_rho", "cond_eta", "cd_check",
+        assert set(doc) >= {"p", "cond_rho", "cond_eta", "cd_check",
                             "C_circ", "C_partial_ratio", "t3b_bound",
                             "verdict"}
         assert "certified-b" in capsys.readouterr().err
@@ -260,6 +259,13 @@ class TestConfigErrors:
                          {"model": "gradd", "d": 2, "alpha": 1.0})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("name", ["nld", "gradd"])
+    def test_kappa_of_unit_model_is_refused(self, tmp_path, capsys, name):
+        cfg = _write_cfg(tmp_path, "cfg.json",
+                         {"model": name, "d": 2, "alpha": 1.5, "kappa": 3})
+        assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+        assert "kappa = 1" in capsys.readouterr().err
+
     def test_bad_time_window(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "t": 2.0})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
@@ -287,9 +293,9 @@ class TestConfigErrors:
         ("check", {"model": "linear-test", "T": math.nan}),
     ], ids=["sample-diag-t", "kappa", "inline-coeff", "inline-q",
             "linear-c", "delta", "check-T"])
-    def test_nan_is_refused(self, tmp_path, command, doc):
+    def test_nan_is_refused(self, tmp_path, command, doc, deadline):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
-        with _deadline(10.0):
+        with deadline(10.0):
             assert main([command, "--config", cfg]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command, doc, flags", [
@@ -371,23 +377,10 @@ _CATALOG = st.fixed_dictionaries({
     "model": st.sampled_from(["nld", "gradd", "burgers-halfspace",
                               "burgers-cosine", "linear-test"]),
     "d": st.integers(1, 3), "alpha": st.floats(0.5, 2.0),
-    "k": st.integers(0, 2), "kappa": st.floats(0.5, 10.0),
+    "k": st.integers(0, 2),
+    # nld and gradd refuse any kappa but 1
+    "kappa": st.one_of(st.just(1.0), st.floats(0.5, 10.0)),
     "delta": st.floats(0.2, 2.0)})
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestConfigSpace:
@@ -399,7 +392,7 @@ class TestConfigSpace:
            steps=st.integers(1, 5), n_trees=st.integers(2, 2_000),
            seed=st.integers(0, 2 ** 16), data=st.data())
     def test_sweep_ends_finite_or_typed(self, model, horizon, lo, width,
-                                        steps, n_trees, seed, data):
+                                        steps, n_trees, seed, data, deadline):
         """Any sweep over catalog and inline models ends within 30 s, in
         exit 0 with finite numbers or in a documented exit code with its
         message."""
@@ -413,7 +406,7 @@ class TestConfigSpace:
             path.write_text(json.dumps(cfg))
             out = pathlib.Path(tmp) / "r.csv"
             err = io.StringIO()
-            with _deadline(30.0), contextlib.redirect_stderr(err):
+            with deadline(30.0), contextlib.redirect_stderr(err):
                 code = main(["sweep", "--config", str(path),
                              "--out", str(out)])
             event(f"exit {code}")

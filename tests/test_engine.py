@@ -1,11 +1,9 @@
 import bisect
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import pickle
-import signal
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -43,21 +41,6 @@ def _pure_heat_model(d=2, bound=50.0):
                     nonlinearity=nonlin, terminal=terminal,
                     branching=uniform_branching(1),
                     lifetime=LifetimeDensity(0.5))
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTerminalShortCircuit:
@@ -173,6 +156,30 @@ class TestDeterminism:
                      master_seed=0)
         assert a.mean != b.mean
 
+    def test_pool_is_bounded_by_the_batches(self, monkeypatch):
+        """Under the fork start method a pool starts all of its workers at
+        its first job, so a run asks for no more workers than it has
+        batches.  The recording executor runs the batches in this process
+        and starts none."""
+        requested = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(engine, "BATCH_TREES", 100)
+        model = builtin_model("linear-test", alpha=1.5)
+        estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=300,
+                 workers=10 ** 6)
+        assert requested == [3]
+
 
 class TestTreeSizeOracle:
     def test_volterra_particle_count(self):
@@ -229,11 +236,10 @@ def _particle_products(model, skeleton, x) -> list:
     sk = skeleton
     phi = model.terminal.phi
     n_leaves = sk.bounds[1]
-    disp = np.concatenate([chunk for kind in sk.disp for chunk in kind])
     births = dict(zip(sk.marked_rows.tolist(), sk.marked_birth))
     h = [Fraction(1)] * sk.particles.size
     for row in range(sk.tree.size):
-        pos = (x + disp[row])[None, :]
+        pos = (x + sk.disp[row])[None, :]
         if row < n_leaves:
             value = float(phi(pos)[0])
             if row in births:
@@ -261,8 +267,7 @@ class TestFlatSkeleton:
                                   RngStream(seed, 0), TreeBudget())
         # each particle is stored once
         assert skeleton.tree.size == skeleton.particles.sum()
-        assert [sum(map(len, kind)) for kind in skeleton.disp] == \
-            list(np.diff(skeleton.bounds))
+        assert skeleton.disp.shape == (skeleton.tree.size, model.d)
         assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
                               skeleton.particles)
         h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
@@ -304,20 +309,20 @@ class TestFlatSkeleton:
         # is not constant and that has rows, then the marked leaves' births
         sk = skeleton
         coeffs = model.nonlinearity.coeffs
-        chunks = [sk.disp[0]] + [
-            sk.disp[ci + 1] for ci, coeff in enumerate(coeffs)
+        kinds = [sk.disp[:sk.bounds[1]]] + [
+            sk.disp[sk.bounds[ci + 1]:sk.bounds[ci + 2]]
+            for ci, coeff in enumerate(coeffs)
             if not isinstance(coeff, ConstantCoefficient)
             and sk.bounds[ci + 2] > sk.bounds[ci + 1]]
         terms = list(plan.terms)
         if sk.marked_rows.size:
-            chunks.append([sk.marked_birth])
+            kinds.append(sk.marked_birth)
             terms.append(plan.births)
-        assert len(terms) == len(chunks)
-        for (fn, times, rows), kind in zip(terms, chunks):
-            if not hasattr(fn, "radial") or not kind:
+        assert len(terms) == len(kinds)
+        for (fn, times, rows), disp in zip(terms, kinds):
+            if not hasattr(fn, "radial") or not len(disp):
                 continue
             got = _values(fn, times, rows, points)
-            disp = np.concatenate(kind)
             want = np.array([fn(x + disp) if times is None
                              else fn(times, x + disp) for x in points])
             np.testing.assert_array_equal(got, want)
@@ -330,8 +335,9 @@ class TestFlatSkeleton:
 
         Calibrated on the per-generation layout that preceded the flat one:
         6.2 MB stored, growth peak 10.3 MB (1.67x), evaluation peak at one
-        point 9.7 MB (1.57x).  The flat skeleton and its plan store 6.65 MB;
-        growth peaks at 1.39x and planning and a 4-point block at 1.55x.
+        point 9.7 MB (1.57x).  The flat skeleton, its displacements one
+        (N, d) array, and its plan store 6.60 MB; growth peaks at 1.40x
+        (9.24 MB) and planning and a 4-point block at 1.55x (10.24 MB).
         Holding a second copy of the skeleton adds about 0.8x to either.
         """
         model = builtin_model("nld", d=10, alpha=1.5, k=1)
@@ -426,7 +432,7 @@ class TestBudgets:
         with pytest.raises(DomainError):
             TreeBudget(max_particles=0)
 
-    def test_batch_particle_ceiling(self, tmp_path, capsys):
+    def test_batch_particle_ceiling(self, tmp_path, capsys, deadline):
         # Gamma(0.01) lifetimes give a linear-test tree about 100 particles
         # per 0.5 of horizon, so over T - t = 4 one 25k-tree batch would
         # store ~2e7, ten times the ceiling, while no single tree comes near
@@ -435,7 +441,7 @@ class TestBudgets:
         cfg.write_text(json.dumps({
             "model": "linear-test", "delta": 0.01, "t": 0.0, "T": 4.0,
             "n_trees": BATCH_TREES}))
-        with _deadline(30.0):
+        with deadline(30.0):
             code = main(["estimate", "--config", str(cfg)])
         assert code == EXIT_BUDGET
         assert f"more than {MAX_BATCH_PARTICLES} particles" in \
@@ -507,9 +513,10 @@ class TestValidation:
         ("linear-test", {}, -math.inf, [0.0], 1.0),
         ("nld", {"d": 2, "k": 1}, 0.5, [math.nan, 0.0], 1.0),
     ], ids=["T-nan", "t-minus-inf", "x-nan"])
-    def test_non_finite_point_fails_fast(self, name, kwargs, t, x, T):
+    def test_non_finite_point_fails_fast(self, name, kwargs, t, x, T,
+                                         deadline):
         model = builtin_model(name, **kwargs)
-        with _deadline(5.0), pytest.raises(DomainError):
+        with deadline(5.0), pytest.raises(DomainError):
             estimate(model, t, np.array(x), 0, T, n_trees=1_000)
 
 

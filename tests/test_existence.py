@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from branchpde.bernstein import Relativistic, Stable
+from branchpde.bernstein import Relativistic, ScaledStable
 from branchpde.errors import (AdmissibilityError, DomainError,
                               NotLipschitzError)
 from branchpde.existence import (HorizonReport, abs_gaussian_moment,
@@ -59,7 +59,7 @@ class TestGaussianMoment:
 class TestTheorem2:
     def test_exponent_value(self):
         # stable eta makes the integrand scale like s^((1-p)(delta-1) - p/alpha)
-        chk = check_theorem2(Stable(alpha=1.5), delta=0.5, p=2.0, T=1.0)
+        chk = check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=2.0, T=1.0)
         assert chk.eta_exponent == pytest.approx(-5.0 / 6.0, abs=5e-3)
         assert chk.cond_eta and chk.cond_rho and chk.cd_check
         assert not chk.inconclusive
@@ -67,20 +67,23 @@ class TestTheorem2:
     def test_cond_eta_threshold(self):
         # delta < 2 - 2/alpha at p = 2
         alpha = 1.5
-        good = check_theorem2(Stable(alpha=alpha), delta=0.4, p=2.0, T=1.0)
-        bad = check_theorem2(Stable(alpha=alpha), delta=0.9, p=2.0, T=1.0)
+        good = check_theorem2(ScaledStable(alpha=alpha),
+                              delta=0.4, p=2.0, T=1.0)
+        bad = check_theorem2(ScaledStable(alpha=alpha),
+                             delta=0.9, p=2.0, T=1.0)
         assert good.cond_eta
         assert not bad.cond_eta and not bad.inconclusive
 
     def test_p1_always_holds_for_admissible_alpha(self):
         for alpha in (1.2, 1.5, 1.8):
-            chk = check_theorem2(Stable(alpha=alpha), delta=0.5, p=1.0, T=1.0)
+            chk = check_theorem2(ScaledStable(alpha=alpha),
+                                 delta=0.5, p=1.0, T=1.0)
             assert chk.cond_rho and chk.cond_eta
 
     def test_cond_rho(self):
-        ok = check_theorem2(Stable(alpha=1.5), delta=1.9, p=2.0, T=1.0)
+        ok = check_theorem2(ScaledStable(alpha=1.5), delta=1.9, p=2.0, T=1.0)
         assert ok.cond_rho and math.isfinite(ok.rho_integral)
-        div = check_theorem2(Stable(alpha=1.5), delta=2.5, p=2.0, T=1.0)
+        div = check_theorem2(ScaledStable(alpha=1.5), delta=2.5, p=2.0, T=1.0)
         assert not div.cond_rho and math.isinf(div.rho_integral)
 
     def test_rho_integral_oracle(self):
@@ -89,7 +92,7 @@ class TestTheorem2:
         exact, _ = integrate.quad(
             lambda s: (s ** (delta - 1.0) * math.exp(-s) / gd) ** (1.0 - p),
             0.0, T)
-        chk = check_theorem2(Stable(alpha=1.5), delta=delta, p=p, T=T)
+        chk = check_theorem2(ScaledStable(alpha=1.5), delta=delta, p=p, T=T)
         assert chk.rho_integral == pytest.approx(exact, rel=1e-7)
 
     def test_relativistic_quadrature_converges(self):
@@ -105,9 +108,9 @@ class TestTheorem2:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            check_theorem2(Stable(alpha=1.5), delta=0.0, p=2.0, T=1.0)
+            check_theorem2(ScaledStable(alpha=1.5), delta=0.0, p=2.0, T=1.0)
         with pytest.raises(DomainError):
-            check_theorem2(Stable(alpha=1.5), delta=0.5, p=0.5, T=1.0)
+            check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=0.5, T=1.0)
 
 
 class TestHorizonBoundA:
@@ -207,7 +210,8 @@ class TestHorizonBoundB:
 class TestHorizonReport:
     def test_linear_test_certified_b(self):
         model = builtin_model("linear-test", alpha=1.5)
-        rep = build_horizon_report(model, Stable(alpha=1.5), p=2.0, T=1.0)
+        rep = build_horizon_report(model, ScaledStable(alpha=1.5),
+                                          p=2.0, T=1.0)
         assert isinstance(rep, HorizonReport)
         assert rep.verdict == "certified-b"
         assert math.isinf(rep.t3b_bound)
@@ -215,26 +219,21 @@ class TestHorizonReport:
 
     def test_toy_certified_a(self):
         model = _toy_model()
-        rep = build_horizon_report(model, Stable(alpha=2.0), p=2.0, T=0.05)
+        rep = build_horizon_report(model, ScaledStable(alpha=2.0),
+                                          p=2.0, T=0.05)
         assert rep.verdict == "certified-a"
         assert rep.C_circ <= 1.0 and rep.C_partial_ratio <= 1.0
 
     def test_nld_uncertified(self):
         model = builtin_model("nld", d=1, alpha=1.5, k=1, delta=0.9)
-        rep = build_horizon_report(model, Stable(alpha=1.5), p=2.0, T=1.0)
+        rep = build_horizon_report(model, ScaledStable(alpha=1.5),
+                                          p=2.0, T=1.0)
         assert rep.verdict == "uncertified"
         assert not rep.cond_eta  # delta = 0.9 > 2 - 2/alpha = 2/3
 
     def test_halfspace_notes_not_lipschitz(self):
         model = builtin_model("burgers-halfspace", d=2, alpha=1.5, kappa=10.0)
-        rep = build_horizon_report(model, Stable(alpha=1.5), p=1.0, T=1.0)
+        rep = build_horizon_report(model, ScaledStable(alpha=1.5),
+                                          p=1.0, T=1.0)
         assert rep.verdict == "uncertified"
         assert any("not Lipschitz" in n for n in rep.notes)
-
-    def test_m0_validation(self):
-        model = builtin_model("gradd", d=2, alpha=1.5, k=1)
-        rep = build_horizon_report(model, Stable(alpha=1.5), p=1.0, T=1.0,
-                                   m0=2)
-        assert rep.m0 == 2
-        with pytest.raises(DomainError):
-            build_horizon_report(model, Stable(alpha=1.5), p=1.0, T=1.0, m0=1)
