@@ -24,11 +24,18 @@ of each offspring category.  Each quantity (tree index, displacement, weight,
 death time) is one array with a row per particle, and a kind is a slice of
 its rows.  One skeleton serves every point of a sweep.
 
+A child's mark depends only on its offspring category, so the trees of
+every root mark are the same.  A skeleton is grown with mark-0 roots and
+keeps each root's row and subordinator increment; the plan of mark
+theta >= 1 multiplies each root's weight by W and adds the root leaves to
+the marked leaves.  So one skeleton serves u and every du/dx_i, one mark's
+plan at a time.
+
 Each row stores one weight, W over its survival or q_l rho denominator.
-Once a batch is grown, one plan per run prepares its evaluation at all of
-the run's points, which then take blocks of at most EVAL_BLOCK_CELLS rows x
-points.  The plan multiplies what does not depend on the point into one
-product per tree: the weight of every row, and the whole factor of every
+Once a batch is grown, one plan per mark of a run prepares its evaluation at
+all of the run's points, which then take blocks of at most EVAL_BLOCK_CELLS
+rows x points.  The plan multiplies what does not depend on the point into
+one product per tree: the weight of every row, and the whole factor of every
 category with a constant coefficient.  Each point then multiplies in only
 phi at x + displacement over the leaves and c_l at the interior deaths of
 the other categories.  phi and c_l of the catalog's radial models
@@ -39,10 +46,10 @@ any of the run's points, one column at a time below it; the others are
 called at x + disp point by point.
 A point's values are the same bits whatever other points share its block
 or its run.  Each block's tree values are reduced into the batch's one
-statistics record, (G,) arrays of the points' means, squared deviations and
-zero counts, and the records are merged in batch order.  Randomness is
-drawn from one stream per fixed-size batch, so estimates are bit-identical
-for any worker count.
+statistics record, (K G,) arrays over the run's K marks by G points of
+the means, squared deviations and zero counts, and the records are merged
+in batch order.  Randomness is drawn from one stream per fixed-size batch,
+whatever the marks, so estimates are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -71,7 +78,6 @@ EVAL_BLOCK_CELLS = 160_000
 # Float cells of x + disp in one generic phi or c_l call, whose other
 # temporaries (one per operation of an inline expression) are as many rows
 CALL_BLOCK_CELLS = 20_000
-_MARK_SHIFT = 40  # stream_id = (mark << 40) | batch_index
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,16 @@ class EstimatorResult:
     mean_tree_size: float
     max_tree_size: int
     zero_frac: float        # share of trees whose product is exactly 0
+    generations: int        # most levels any batch grew
+    cms_resamples: int      # CMS underflow redraws over all batches
 
 
 @dataclass(frozen=True)
 class _BatchStats:
-    """One batch's trees and particles, and (G,) arrays over the points of
-    a run: the mean tree value, the sum of squared deviations from it and
-    the count of zero products."""
+    """One batch's trees, particles, levels and CMS redraws, and (K G,)
+    arrays over the K marks times the G points of a run, mark-major: the
+    mean tree value, the sum of squared deviations from it and the count of
+    zero products."""
 
     n: int
     mean: np.ndarray
@@ -111,6 +120,8 @@ class _BatchStats:
     zeros: np.ndarray
     sum_particles: int
     max_particles: int
+    generations: int
+    cms_resamples: int
 
 
 def sample_subordinated_increment(d: int, alpha: float, kappa: float, dt,
@@ -164,7 +175,10 @@ class _Skeleton:
     q_l rho(lifetime) for an interior particle.  ``death`` holds the death
     times of the interior rows (row r at r - bounds[1]); ``marked_rows`` are
     the leaves with a nonzero mark and ``marked_birth`` their birth
-    displacements.  Nothing here depends on the root position.
+    displacements.  Every root carries mark 0, so ``root``, the row of each
+    tree's root, and ``root_ds``, its subordinator increment, are what a
+    root mark changes: a root starts at the origin, so ``disp[root]`` is
+    its move.  Nothing here depends on the root position.
     """
 
     tree: np.ndarray          # (N,) tree index
@@ -174,6 +188,8 @@ class _Skeleton:
     bounds: tuple             # row offset of each kind, and N
     marked_rows: np.ndarray   # (M,) leaf rows
     marked_birth: np.ndarray  # (M, d)
+    root: np.ndarray          # (n_batch,) row of each tree's root
+    root_ds: np.ndarray       # (n_batch,)
     particles: np.ndarray     # (n_batch,) particles per tree
     generations: int          # levels grown
 
@@ -195,15 +211,17 @@ def _join(per_kind: list, tail: tuple = (), dtype=float) -> np.ndarray:
     return out
 
 
-def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
-                   n: int, rng: RngStream, budget: TreeBudget) -> _Skeleton:
-    """Grow ``n`` independent trees level-synchronously, rooted at the origin.
+def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
+                   rng: RngStream, budget: TreeBudget) -> _Skeleton:
+    """Grow ``n`` independent trees level-synchronously, rooted at the origin
+    with mark 0.
 
-    Every draw is independent of the root position, so one skeleton serves
-    any number of points.  Each level's particles are filed by kind as they
-    are drawn; once growth stops, each field is joined into one flat array.
-    Raises BudgetExceededError if a tree outgrows the budget or the batch
-    would store more than MAX_BATCH_PARTICLES particles.
+    Every draw is independent of the root position and of the root's mark,
+    so one skeleton serves any number of points and every mark.  Each
+    level's particles are filed by kind as they are drawn; once growth
+    stops, each field is joined into one flat array.  Raises
+    BudgetExceededError if a tree outgrows the budget or the batch would
+    store more than MAX_BATCH_PARTICLES particles.
     """
     lifetime = model.lifetime
     q_probs = np.asarray(model.branching.probs, dtype=float)
@@ -214,7 +232,7 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
 
     # active particle state
     tree = np.arange(n, dtype=np.int64)
-    marks = np.full(n, root_mark, dtype=np.int64)
+    marks = np.zeros(n, dtype=np.int64)
     birth = np.full(n, float(t))
     disp = np.zeros((n, model.d))
     # per field, per kind: one chunk a level
@@ -267,6 +285,9 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
             den[int_rows] = q_probs[cat] * lifetime.rho(tau[int_rows])
             kind_rows += [int_rows[cat == ci]
                           for ci in range(child_counts.size)]
+        if gen == 1:
+            # the roots, tree i at level row i, open each kind's rows
+            root_kinds, root_ds = kind_rows, ds
         w /= den
         for kind, rows in enumerate(kind_rows):
             if rows.size:
@@ -303,13 +324,18 @@ def _grow_skeleton(model: PdeModel, t: float, root_mark: int, T: float,
 
     del disp, dx    # the last level's (rows, d) array
     sizes = [sum(len(c) for c in kind) for kind in fields["tree"]]
+    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
+    root = np.empty(n, dtype=np.int64)
+    for kind, rows in enumerate(root_kinds):
+        root[rows] = bounds[kind] + np.arange(rows.size)
     d = (model.d,)
     return _Skeleton(tree=_join(fields["tree"], dtype=np.int64),
                      disp=_join(fields["disp"], d),
                      weight=_join(fields["weight"]), death=_join(deaths),
-                     bounds=tuple(int(b) for b in np.cumsum([0] + sizes)),
+                     bounds=bounds,
                      marked_rows=_join([marked_rows], dtype=np.int64),
                      marked_birth=_join([marked_birth], d),
+                     root=root, root_ds=root_ds,
                      particles=particles, generations=gen)
 
 
@@ -345,15 +371,18 @@ class _Plan:
     block: int
 
 
-def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
+def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
+          mark: int) -> _Plan:
     """The _Plan of skeleton ``sk`` under ``model`` for the rows of
-    ``points``, all the points of a run.
+    ``points``, all the points of a run, with root mark ``mark``.
 
-    A radial callable reads its rows as |disp|^2 and sum_j disp_j over the
-    coordinates above ``top``, summed as ``radial_args`` sums them, and the
-    columns 0..top, copied, where ``top`` is the last coordinate that is
-    nonzero in some point.  Any other callable reads its rows of the
-    skeleton's displacements.
+    A root of mark theta >= 1 multiplies its weight by W = dx_theta / ds
+    (0 where ds = 0), and a root leaf subtracts phi at its birth, the
+    origin, like the other marked leaves.  A radial callable reads its rows
+    as |disp|^2 and sum_j disp_j over the coordinates above ``top``, summed
+    as ``radial_args`` sums them, and the columns 0..top, copied, where
+    ``top`` is the last coordinate that is nonzero in some point.  Any other
+    callable reads its rows of the skeleton's displacements.
     """
     nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
     top = int(nonzero[-1]) if nonzero.size else 0
@@ -366,6 +395,15 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
 
     phi = model.terminal.phi
     factor = sk.weight.copy()
+    marked, marked_birth = sk.marked_rows, sk.marked_birth
+    if mark:
+        ds = sk.root_ds
+        factor[sk.root] *= np.divide(sk.disp[sk.root, mark - 1], ds,
+                                     out=np.zeros_like(ds), where=ds > 0.0)
+        root_leaves = sk.root[sk.root < sk.bounds[1]]
+        marked = np.concatenate([marked, root_leaves])
+        marked_birth = np.concatenate(
+            [marked_birth, np.zeros((root_leaves.size, model.d))])
     kinds, terms = [0], [term(phi, sk.disp[:sk.bounds[1]])]
     for ci, coeff in enumerate(model.nonlinearity.coeffs):
         lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
@@ -377,10 +415,10 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray) -> _Plan:
                               sk.death[lo - sk.bounds[1]:hi - sk.bounds[1]]))
     tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
                            for k in kinds])
-    births = term(phi, sk.marked_birth) if sk.marked_rows.size else ()
-    rows = tree.size + sk.marked_rows.size
+    births = term(phi, marked_birth) if marked.size else ()
+    rows = tree.size + marked.size
     return _Plan(base=_multiply(np.ones(sk.particles.size), sk.tree, factor),
-                 tree=tree, terms=tuple(terms), marked=sk.marked_rows,
+                 tree=tree, terms=tuple(terms), marked=marked,
                  births=births, block=max(1, EVAL_BLOCK_CELLS // max(rows, 1)))
 
 
@@ -460,15 +498,31 @@ def _validate_point(model, t, x, mark, T):
             "derivative weight is degenerate at t == T; use t < T")
 
 
-def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
+def _batch_stats(model, t, points, marks, T, master_seed, batch_idx,
                  batch_size, budget) -> _BatchStats:
-    """Grow batch ``batch_idx`` once, plan its evaluation at all of
-    ``points`` and evaluate it a block of points at a time."""
-    rng = RngStream(master_seed, (mark << _MARK_SHIFT) | batch_idx)
-    skeleton = _grow_skeleton(model, t, mark, T, batch_size, rng, budget)
-    plan = _plan(model, skeleton, points)
-    mean, m2 = np.empty(len(points)), np.empty(len(points))
-    zeros = np.empty(len(points), dtype=np.int64)
+    """Grow batch ``batch_idx`` once, then for each of ``marks`` plan its
+    evaluation at all of ``points`` and evaluate it a block of points at a
+    time."""
+    rng = RngStream(master_seed, batch_idx)
+    skeleton = _grow_skeleton(model, t, T, batch_size, rng, budget)
+    shape = (len(marks), len(points))
+    mean, m2 = np.empty(shape), np.empty(shape)
+    zeros = np.empty(shape, dtype=np.int64)
+    for k, mark in enumerate(marks):
+        # a mark's plan is freed before the next mark's is built
+        _reduce(_plan(model, skeleton, points, mark), points, mean[k], m2[k],
+                zeros[k])
+    return _BatchStats(n=batch_size, mean=mean.ravel(), m2=m2.ravel(),
+                       zeros=zeros.ravel(),
+                       sum_particles=int(np.sum(skeleton.particles)),
+                       max_particles=int(np.max(skeleton.particles)),
+                       generations=skeleton.generations,
+                       cms_resamples=rng.cms_resamples)
+
+
+def _reduce(plan: _Plan, points, mean, m2, zeros):
+    """Fill the (G,) ``mean``, ``m2`` and ``zeros`` of the tree values of
+    ``plan`` at ``points``, evaluated a block of points at a time."""
     for lo in range(0, len(points), plan.block):
         # a block's tree values are reduced, and freed, before the next block
         h = _evaluate(plan, points[lo:lo + plan.block]).T
@@ -476,9 +530,6 @@ def _batch_stats(model, t, points, mark, T, master_seed, batch_idx,
         mean[block] = h.mean(axis=1)
         m2[block] = ((h - mean[block, None]) ** 2).sum(axis=1)
         zeros[block] = np.count_nonzero(h == 0.0, axis=1)
-    return _BatchStats(n=batch_size, mean=mean, m2=m2, zeros=zeros,
-                       sum_particles=int(np.sum(skeleton.particles)),
-                       max_particles=int(np.max(skeleton.particles)))
 
 
 def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
@@ -488,7 +539,9 @@ def _merge(a: _BatchStats, b: _BatchStats) -> _BatchStats:
     m2 = a.m2 + b.m2 + delta * delta * a.n * b.n / n
     return _BatchStats(n=n, mean=mean, m2=m2, zeros=a.zeros + b.zeros,
                        sum_particles=a.sum_particles + b.sum_particles,
-                       max_particles=max(a.max_particles, b.max_particles))
+                       max_particles=max(a.max_particles, b.max_particles),
+                       generations=max(a.generations, b.generations),
+                       cms_resamples=a.cms_resamples + b.cms_resamples)
 
 
 def _merge_batches(results) -> _BatchStats:
@@ -507,9 +560,10 @@ def _merge_batches(results) -> _BatchStats:
     return total
 
 
-def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
-                     budget, start) -> list:
-    """One EstimatorResult per row of ``points``, all from the same trees.
+def _estimate_points(model, t, points, marks, T, n_trees, master_seed,
+                     workers, budget, start) -> list:
+    """One EstimatorResult per mark of ``marks`` and row of ``points``,
+    mark-major, all from the same trees.
 
     Batches are grown one at a time (or one per pool job) and merged per
     point in batch order, so the results do not depend on ``workers``.
@@ -517,7 +571,7 @@ def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
     sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
     if n_trees % BATCH_TREES:
         sizes.append(n_trees % BATCH_TREES)
-    batch = partial(_batch_stats, model, t, points, mark, T, master_seed,
+    batch = partial(_batch_stats, model, t, points, marks, T, master_seed,
                     budget=budget)
     if workers == 1 or len(sizes) == 1:
         total = _merge_batches(map(batch, range(len(sizes)), sizes))
@@ -537,7 +591,8 @@ def _estimate_points(model, t, points, mark, T, n_trees, master_seed, workers,
     return [EstimatorResult(
         mean=mean, stderr=se, ci95=(mean - h, mean + h), n_trees=n,
         elapsed=elapsed, mean_tree_size=total.sum_particles / n,
-        max_tree_size=total.max_particles, zero_frac=zeros / n)
+        max_tree_size=total.max_particles, zero_frac=zeros / n,
+        generations=total.generations, cms_resamples=total.cms_resamples)
         for mean, se, h, zeros in zip(total.mean.tolist(), stderr.tolist(),
                                       half.tolist(), total.zeros.tolist())]
 
@@ -568,6 +623,13 @@ class Grid:
         return int(hits[0])
 
 
+def _validate_run(n_trees: int, workers: int):
+    if n_trees < 2:
+        raise DomainError(f"n_trees must be >= 2, got {n_trees}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+
+
 def estimate(model: PdeModel, t: float, x, mark: int, T: float,
              n_trees: int, master_seed: int = 0, workers: int = 1,
              budget: TreeBudget = DEFAULT_BUDGET,
@@ -575,29 +637,29 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
     """Monte Carlo estimate of u(t,x) (mark 0) or du/dx_mark(t,x).
 
     Trees are grown in fixed-size batches with one random stream per batch, so
-    the result is bit-identical for any ``workers`` at a fixed seed.  With a
-    ``grid`` holding x, all of the grid's points are estimated from the same
-    trees on the first call, and later calls return the stored results (their
+    the result is bit-identical for any ``workers`` at a fixed seed.  Every
+    mark grows the same trees from the same streams.  With a ``grid``
+    holding x, all of the grid's points are estimated from the same trees on
+    the first call, and later calls return the stored results (their
     ``elapsed`` is the time of the whole grid).
     """
-    if n_trees < 2:
-        raise DomainError(f"n_trees must be >= 2, got {n_trees}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    _validate_run(n_trees, workers)
     _validate_point(model, t, x, mark, T)
     start = time.perf_counter()
     xa = np.atleast_1d(np.asarray(x, dtype=float))
 
     if t == T:
+        # each tree is its root leaf: one particle, one level, no draws
         value = float(model.terminal.phi(xa[None, :])[0])
         return EstimatorResult(mean=value, stderr=0.0, ci95=(value, value),
                                n_trees=n_trees,
                                elapsed=time.perf_counter() - start,
                                mean_tree_size=1.0, max_tree_size=1,
-                               zero_frac=float(value == 0.0))
+                               zero_frac=float(value == 0.0), generations=1,
+                               cms_resamples=0)
 
     if grid is None:
-        return _estimate_points(model, t, xa[None, :], mark, T, n_trees,
+        return _estimate_points(model, t, xa[None, :], (mark,), T, n_trees,
                                 master_seed, workers, budget, start)[0]
     index = grid._index(xa)
     run = (t, mark, T, n_trees, master_seed, budget)
@@ -605,7 +667,7 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
         grid._model = grid._run = grid._results = None
         for point in grid.points:
             _validate_point(model, t, point, mark, T)
-        grid._results = _estimate_points(model, t, grid.points, mark, T,
+        grid._results = _estimate_points(model, t, grid.points, (mark,), T,
                                          n_trees, master_seed, workers,
                                          budget, start)
         grid._model, grid._run = model, run
@@ -615,12 +677,22 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
 def estimate_gradient_all(model: PdeModel, t: float, x, T: float,
                           n_trees: int, master_seed: int = 0, workers: int = 1,
                           budget: TreeBudget = DEFAULT_BUDGET):
-    """One estimate per derivative mark i = 1..m, independent populations."""
-    if t >= T:
-        raise DegenerateDerivativeError(
-            "derivative estimates require t < T")
-    return [estimate(model, t, x, i, T, n_trees, master_seed, workers, budget)
-            for i in range(1, model.m + 1)]
+    """One estimate per derivative mark i = 1..m, all from the same trees.
+
+    Each batch is grown once and evaluated for every mark, so mark i's
+    result is bit-identical to ``estimate(..., mark=i, ...)``.  The marks
+    share their trees with each other and with the estimate of u at the same
+    seed, so their estimates are correlated.
+    """
+    marks = tuple(range(1, model.m + 1))
+    _validate_run(n_trees, workers)
+    for mark in marks:
+        _validate_point(model, t, x, mark, T)
+    if not marks:
+        return []
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    return _estimate_points(model, t, xa[None, :], marks, T, n_trees,
+                            master_seed, workers, budget, time.perf_counter())
 
 
 def resolve_workers(requested: int | None) -> int:

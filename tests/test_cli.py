@@ -338,10 +338,11 @@ class TestResultRoundTrip:
         res = EstimatorResult(mean=1.5, stderr=0.01, ci95=(1.48, 1.52),
                               n_trees=1000, elapsed=0.5,
                               mean_tree_size=3.2, max_tree_size=17,
-                              zero_frac=0.25)
+                              zero_frac=0.25, generations=9, cms_resamples=2)
         doc = result_to_dict(res)
         assert isinstance(doc["ci95"], list)
-        json.dumps(doc)  # must be serializable
+        assert (doc["generations"], doc["cms_resamples"]) == (9, 2)
+        assert json.loads(json.dumps(doc)) == doc
 
 
 # The stderr line each documented non-zero exit code of a sweep starts with

@@ -148,7 +148,8 @@ class TestDeterminism:
         assert seq.stderr == par.stderr
         assert seq.mean_tree_size == par.mean_tree_size
 
-    def test_marks_use_disjoint_streams(self):
+    def test_marks_weigh_their_own_coordinate(self):
+        # marks 1 and 2 share their trees; W reads dx_1, then dx_2
         model = _pure_heat_model()
         a = estimate(model, 0.5, np.zeros(2), 1, 1.0, n_trees=5_000,
                      master_seed=0)
@@ -181,6 +182,83 @@ class TestDeterminism:
         assert requested == [3]
 
 
+class TestSharedSkeleton:
+    """Every mark is evaluated on the same trees, grown once per batch."""
+
+    @staticmethod
+    def _same(a: EstimatorResult, b: EstimatorResult) -> bool:
+        return (dataclasses.replace(a, elapsed=0.0)
+                == dataclasses.replace(b, elapsed=0.0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", ["gradd", "burgers-cosine"])
+    def test_gradient_all_is_estimate_per_mark(self, name, workers,
+                                               monkeypatch):
+        monkeypatch.setattr(engine, "BATCH_TREES", 500)    # two batches
+        model = _catalog(name)
+        x = np.array([0.5, -0.2])
+        joint = estimate_gradient_all(model, 0.9, x, 1.0, 1_000,
+                                      master_seed=3, workers=workers)
+        assert len(joint) == 2
+        for mark, res in enumerate(joint, 1):
+            alone = estimate(model, 0.9, x, mark, 1.0, 1_000, master_seed=3,
+                             workers=workers)
+            assert self._same(alone, res)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_marks_of_a_model_without_gradient_terms(self, workers,
+                                                     monkeypatch):
+        # linear-test has m = 0, so estimate_gradient_all has no mark to
+        # estimate; the engine's joint run of marks 0 and 1 is still each
+        # mark's estimate
+        monkeypatch.setattr(engine, "BATCH_TREES", 500)
+        model = builtin_model("linear-test", alpha=1.5)
+        x = np.array([0.3])
+        assert estimate_gradient_all(model, 0.9, x, 1.0, 1_000) == []
+        joint = engine._estimate_points(model, 0.9, x[None, :], (0, 1), 1.0,
+                                        1_000, 3, workers, TreeBudget(), 0.0)
+        for mark, res in enumerate(joint):
+            alone = estimate(model, 0.9, x, mark, 1.0, 1_000, master_seed=3,
+                             workers=workers)
+            assert self._same(alone, res)
+
+    def test_gradient_all_grows_each_batch_once(self, monkeypatch):
+        streams = []
+        grow = engine._grow_skeleton
+
+        def spy(model, t, T, n, rng, budget):
+            streams.append(rng.stream_id)
+            return grow(model, t, T, n, rng, budget)
+
+        monkeypatch.setattr(engine, "_grow_skeleton", spy)
+        monkeypatch.setattr(engine, "BATCH_TREES", 500)
+        estimate_gradient_all(_catalog("gradd"), 0.9, np.array([0.5, 0.0]),
+                              1.0, 1_500, master_seed=3)
+        assert streams == [0, 1, 2]
+
+    def test_health_fields_at_any_worker_count(self, monkeypatch):
+        """``generations`` is the most levels a batch grew and
+        ``cms_resamples`` the sum of the batch streams' counts, at any
+        worker count.  A sampler that counts one redraw per level makes
+        that sum the levels of all batches."""
+        cms = engine.sample_stable_subordinator
+
+        def counting(alpha, t, rng, size):
+            rng.cms_resamples += 1
+            return cms(alpha, t, rng, size=size)
+
+        monkeypatch.setattr(engine, "sample_stable_subordinator", counting)
+        monkeypatch.setattr(engine, "BATCH_TREES", 100)
+        model = builtin_model("nld", d=1, alpha=1.5, k=1)
+        levels = [_grow_skeleton(model, 0.5, 1.0, 100, RngStream(4, i),
+                                 TreeBudget()).generations for i in range(3)]
+        for workers in (1, 2):
+            res = estimate(model, 0.5, np.zeros(1), 0, 1.0, n_trees=300,
+                           master_seed=4, workers=workers)
+            assert (res.generations, res.cms_resamples) == \
+                (max(levels), sum(levels))
+
+
 class TestTreeSizeOracle:
     def test_volterra_particle_count(self):
         """The expected total particle count g(tau) over a remaining horizon
@@ -203,7 +281,7 @@ class TestTreeSizeOracle:
 
         rng = RngStream(21, 0)
         n = 100_000
-        particles = _grow_skeleton(model, 1.0 - tau_max, 0, 1.0, n, rng,
+        particles = _grow_skeleton(model, 1.0 - tau_max, 1.0, n, rng,
                                    TreeBudget()).particles
         emp = particles.mean()
         se = particles.std(ddof=1) / math.sqrt(n)
@@ -230,14 +308,24 @@ def _nbytes(obj) -> int:
     return 0
 
 
-def _particle_products(model, skeleton, x) -> list:
-    """Exact per-tree products of a skeleton at x: each particle's float
-    factors (its weight, and phi or c_l), multiplied as Fractions."""
+def _particle_products(model, skeleton, x, mark) -> list:
+    """Exact per-tree products of a skeleton at x under root mark ``mark``:
+    each particle's float factors (its weight, and phi or c_l), multiplied
+    as Fractions.  A root of mark theta >= 1 also takes W = dx_theta / ds,
+    its move over its subordinator increment, and a root leaf subtracts phi
+    at the origin."""
     sk = skeleton
     phi = model.terminal.phi
     n_leaves = sk.bounds[1]
     births = dict(zip(sk.marked_rows.tolist(), sk.marked_birth))
     h = [Fraction(1)] * sk.particles.size
+    if mark:
+        for root, ds in zip(sk.root.tolist(), sk.root_ds.tolist()):
+            tree = sk.tree[root]
+            h[tree] = (Fraction(0) if ds == 0.0 else
+                       Fraction(sk.disp[root, mark - 1]) / Fraction(ds))
+            if root < n_leaves:
+                births[root] = np.zeros(model.d)
     for row in range(sk.tree.size):
         pos = (x + sk.disp[row])[None, :]
         if row < n_leaves:
@@ -263,17 +351,19 @@ class TestFlatSkeleton:
         model = _catalog(name)
         mark = min(mark, model.m)
         x = np.array(x)
-        skeleton = _grow_skeleton(model, 1.0 - horizon, mark, 1.0, n,
-                                  RngStream(seed, 0), TreeBudget())
-        # each particle is stored once
-        assert skeleton.tree.size == skeleton.particles.sum()
-        assert skeleton.disp.shape == (skeleton.tree.size, model.d)
-        assert np.array_equal(np.bincount(skeleton.tree, minlength=n),
-                              skeleton.particles)
-        h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
-        ref = _particle_products(model, skeleton, x)
+        sk = _grow_skeleton(model, 1.0 - horizon, 1.0, n, RngStream(seed, 0),
+                            TreeBudget())
+        # each particle is stored once; tree i's root is one of its rows,
+        # and no root is a marked leaf
+        assert sk.tree.size == sk.particles.sum()
+        assert sk.disp.shape == (sk.tree.size, model.d)
+        assert np.array_equal(np.bincount(sk.tree, minlength=n), sk.particles)
+        assert np.array_equal(sk.tree[sk.root], np.arange(n))
+        assert not np.isin(sk.root, sk.marked_rows).any()
+        h = _evaluate(_plan(model, sk, x[None, :], mark), x[None, :])[:, 0]
+        ref = _particle_products(model, sk, x, mark)
         # each particle's factors take at most two roundings
-        for value, exact, size in zip(h, ref, skeleton.particles):
+        for value, exact, size in zip(h, ref, sk.particles):
             if exact == 0:
                 assert value == 0.0
             else:
@@ -296,17 +386,19 @@ class TestFlatSkeleton:
         points = np.array(data.draw(st.lists(
             st.lists(coordinate, min_size=d, max_size=d),
             min_size=1, max_size=7)))
-        skeleton = _grow_skeleton(model, 1.0 - horizon, mark, 1.0, n,
+        skeleton = _grow_skeleton(model, 1.0 - horizon, 1.0, n,
                                   RngStream(seed, 0), TreeBudget())
-        plan = _plan(model, skeleton, points)
+        plan = _plan(model, skeleton, points, mark)
         block = _evaluate(plan, points)
-        alone = np.column_stack([_evaluate(_plan(model, skeleton, p[None, :]),
-                                           p[None, :]) for p in points])
+        alone = np.column_stack([
+            _evaluate(_plan(model, skeleton, p[None, :], mark), p[None, :])
+            for p in points])
         assert block.shape == (n, len(points))
         assert block.tobytes() == alone.tobytes()
 
         # the plan's terms: the leaves, then each category whose coefficient
-        # is not constant and that has rows, then the marked leaves' births
+        # is not constant and that has rows, then the marked leaves' births,
+        # the root leaves' at the origin last
         sk = skeleton
         coeffs = model.nonlinearity.coeffs
         kinds = [sk.disp[:sk.bounds[1]]] + [
@@ -315,9 +407,13 @@ class TestFlatSkeleton:
             if not isinstance(coeff, ConstantCoefficient)
             and sk.bounds[ci + 2] > sk.bounds[ci + 1]]
         terms = list(plan.terms)
-        if sk.marked_rows.size:
-            kinds.append(sk.marked_birth)
+        root_leaves = sk.root[sk.root < sk.bounds[1]] if mark else []
+        if plan.marked.size:
+            kinds.append(np.concatenate(
+                [sk.marked_birth, np.zeros((len(root_leaves), d))]))
             terms.append(plan.births)
+        assert np.array_equal(plan.marked,
+                              np.concatenate([sk.marked_rows, root_leaves]))
         assert len(terms) == len(kinds)
         for (fn, times, rows), disp in zip(terms, kinds):
             if not hasattr(fn, "radial") or not len(disp):
@@ -341,20 +437,20 @@ class TestFlatSkeleton:
         Holding a second copy of the skeleton adds about 0.8x to either.
         """
         model = builtin_model("nld", d=10, alpha=1.5, k=1)
-        small = _grow_skeleton(model, 0.9, 0, 1.0, 100, RngStream(1, 0),
+        small = _grow_skeleton(model, 0.9, 1.0, 100, RngStream(1, 0),
                                TreeBudget())
         # first-call allocations
-        _evaluate(_plan(model, small, np.eye(10)[:2]), np.eye(10)[:2])
+        _evaluate(_plan(model, small, np.eye(10)[:2], 0), np.eye(10)[:2])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            skeleton = _grow_skeleton(model, 0.9, 0, 1.0, BATCH_TREES,
+            skeleton = _grow_skeleton(model, 0.9, 1.0, BATCH_TREES,
                                       RngStream(0, 0), TreeBudget())
             grow_peak = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
             points = np.zeros((61, 10))
             points[:, 0] = np.linspace(-1.2, 1.2, len(points))
-            plan = _plan(model, skeleton, points)
+            plan = _plan(model, skeleton, points, 0)
             _evaluate(plan, points[:plan.block])
             eval_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -459,9 +555,10 @@ class TestZeroFraction:
         model = builtin_model("nld", d=1, alpha=1.5, k=1)
         x = np.array([1.2])
         res = estimate(model, 0.5, x, 0, 1.0, n_trees=4_000, master_seed=3)
-        skeleton = _grow_skeleton(model, 0.5, 0, 1.0, 4_000, RngStream(3, 0),
+        skeleton = _grow_skeleton(model, 0.5, 1.0, 4_000, RngStream(3, 0),
                                   TreeBudget())
-        h = _evaluate(_plan(model, skeleton, x[None, :]), x[None, :])[:, 0]
+        h = _evaluate(_plan(model, skeleton, x[None, :], 0),
+                      x[None, :])[:, 0]
         assert 0.0 < res.zero_frac < 1.0
         assert res.zero_frac == np.count_nonzero(h == 0.0) / 4_000
 
@@ -484,6 +581,26 @@ class TestZeroFraction:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("t, x, n_trees, workers, error", [
+        (1.5, [0.0, 0.0], 100, 1, DomainError),
+        (1.0, [0.0, 0.0], 100, 1, DegenerateDerivativeError),
+        (0.5, [0.0], 100, 1, DomainError),
+        (0.5, [math.nan, 0.0], 100, 1, DomainError),
+        (0.5, [0.0, 0.0], 1, 1, DomainError),
+        (0.5, [0.0, 0.0], 100, 0, DomainError),
+    ], ids=["t-past-T", "t-at-T", "x-shape", "x-nan", "n_trees", "workers"])
+    def test_gradient_all_validates_like_estimate(self, t, x, n_trees,
+                                                  workers, error):
+        model = builtin_model("gradd", d=2, alpha=1.5, k=1)
+        for call in (
+                lambda: estimate(model, t, np.array(x), 1, 1.0, n_trees,
+                                 workers=workers),
+                lambda: estimate_gradient_all(model, t, np.array(x), 1.0,
+                                              n_trees, workers=workers)):
+            with pytest.raises(error) as err:
+                call()
+            assert type(err.value) is error
+
     def test_bad_inputs(self):
         model = builtin_model("linear-test")
         with pytest.raises(DomainError):
@@ -503,8 +620,9 @@ class TestValidation:
         assert isinstance(res, EstimatorResult)
         assert {f.name for f in dataclasses.fields(res)} == {
             "mean", "stderr", "ci95", "n_trees", "elapsed", "mean_tree_size",
-            "max_tree_size", "zero_frac"}
+            "max_tree_size", "zero_frac", "generations", "cms_resamples"}
         assert res.n_trees == 5_000
+        assert res.generations > 1 and res.cms_resamples == 0
         assert res.ci95[0] < res.mean < res.ci95[1]
         assert res.mean_tree_size >= 1.0 and res.elapsed > 0.0
 
