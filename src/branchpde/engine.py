@@ -677,19 +677,17 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
 def estimate_gradient_all(model: PdeModel, t: float, x, T: float,
                           n_trees: int, master_seed: int = 0, workers: int = 1,
                           budget: TreeBudget = DEFAULT_BUDGET):
-    """One estimate per derivative mark i = 1..m, all from the same trees.
+    """One estimate of du/dx_i per mark i = 1..d, all from the same trees.
 
     Each batch is grown once and evaluated for every mark, so mark i's
     result is bit-identical to ``estimate(..., mark=i, ...)``.  The marks
     share their trees with each other and with the estimate of u at the same
     seed, so their estimates are correlated.
     """
-    marks = tuple(range(1, model.m + 1))
+    marks = tuple(range(1, model.d + 1))
     _validate_run(n_trees, workers)
     for mark in marks:
         _validate_point(model, t, x, mark, T)
-    if not marks:
-        return []
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     return _estimate_points(model, t, xa[None, :], marks, T, n_trees,
                             master_seed, workers, budget, time.perf_counter())

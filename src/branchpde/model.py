@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnknownModelError
 from .expressions import eval_expression, parse_expression
-from .specfun import bump_r2, gamma_fn, psi_getoor_batch, upper_reg_gamma
+from .specfun import (_positive_power, bump_r2, gamma_fn, psi_getoor_batch,
+                      upper_reg_gamma)
 from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bump)
 
 
@@ -89,7 +90,7 @@ class NldSource:
 
     def radial(self, t, r2, s):
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
-        bump4 = np.maximum(0.0, 1.0 - r2) ** (4 * self.k + 2.0 * self.alpha)
+        bump4 = _positive_power(1.0 - r2, 4 * self.k + 2.0 * self.alpha)
         return np.exp(-np.asarray(t)) * psi - np.exp(-4.0 * np.asarray(t)) * bump4
 
 
@@ -106,7 +107,7 @@ class GraddSource:
 
     def radial(self, t, r2, s):
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
-        power = np.maximum(0.0, 1.0 - r2) ** (2 * self.k + self.alpha - 1.0)
+        power = _positive_power(1.0 - r2, 2 * self.k + self.alpha - 1.0)
         t = np.asarray(t)
         return (np.exp(-t) * psi
                 + (2 * self.k + self.alpha) * np.exp(-2.0 * t) * power * s)
@@ -325,16 +326,15 @@ def _radial_sup(coeff, direction: np.ndarray, T: float) -> float:
 
     For k = 0 the nld exterior branch blows up at |x| -> 1+, so the scan
     excludes a thin shell and the returned value is a finite proxy for the
-    formally infinite sup.
+    formally infinite sup.  ``coeff`` is radial and is evaluated once, on
+    the whole (t, x) grid.
     """
     r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
                          1.0 + np.geomspace(1e-4, 24.0, 400)])
     x = (np.sqrt(np.maximum(r2, 1e-30))[:, None] / np.linalg.norm(direction)
          * direction)
-    sup = 0.0
-    for t in np.linspace(0.0, T, 41):
-        sup = max(sup, float(np.max(np.abs(coeff(t, x)))))
-    return sup
+    times = np.linspace(0.0, T, 41)[:, None]
+    return float(np.max(np.abs(coeff.radial(times, *radial_args(x)))))
 
 
 def _bump_terminal(k: int, alpha: float, T: float) -> TerminalCondition:

@@ -11,6 +11,7 @@ its support.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sps
@@ -99,10 +100,21 @@ def phi_bump(k: int, alpha: float, x) -> float:
 def bump_r2(k: int, alpha: float, r2) -> np.ndarray:
     """The bump (1 - r2)_+^(k + a/2) at squared radii r2 (any shape)."""
     _check_k_alpha(k, alpha, upper=2.0)
-    value = np.asarray(1.0 - np.asarray(r2, dtype=float))
-    np.maximum(value, 0.0, out=value)
-    value **= k + alpha / 2.0
-    return value
+    return _positive_power(1.0 - np.asarray(r2, dtype=float), k + alpha / 2.0)
+
+
+def _positive_power(v, p: float) -> np.ndarray:
+    """(v)_+^p for p > 0, computed in place: a C-contiguous float array v is
+    overwritten and returned.  Only the entries v > 0 are raised; the others
+    become max(v, 0), that is 0 (or NaN), as 0**p (or NaN**p) would give."""
+    out = np.array(v, dtype=float, copy=None, order="C")
+    flat = out.reshape(-1)
+    raised = np.flatnonzero(flat > 0.0)
+    values = flat[raised]
+    np.maximum(flat, 0.0, out=flat)
+    values **= p
+    flat[raised] = values
+    return out
 
 
 def _check_k_alpha(k, alpha, upper):
@@ -128,7 +140,6 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
 
     Validates the point and evaluates it through ``psi_getoor_batch``.
     """
-    _check_k_alpha(k, alpha, upper=2.0)
     if alpha >= 2.0:
         raise DomainError(f"psi_getoor requires alpha in (0, 2), got {alpha}")
     if d < 1:
@@ -146,6 +157,9 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
 # z = 1 the 1 - z connection formula replaces the direct series, which would
 # need O(1/(1 - z)) terms.
 # ---------------------------------------------------------------------------
+
+_NEAR_ONE = 0.9     # the connection formula takes over above this z
+
 
 def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
                     rel_tol: float = 1e-12, max_terms: int = 100_000) -> np.ndarray:
@@ -220,7 +234,7 @@ def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     connect = not (s == round(s) or _is_nonpos_int(c - a)
                    or _is_nonpos_int(c - b))
     neg = z < 0.0
-    near = (z > 0.9) & connect
+    near = (z > _NEAR_ONE) & connect
     series = ~(neg | near)
     out = np.empty_like(z)
     if np.any(neg):
@@ -233,15 +247,98 @@ def _hyp2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Psi's exterior 2F1 on z in (0, _NEAR_ONE]: a piecewise Chebyshev table,
+# fitted to the core once per (k, alpha, d), replaces the direct series,
+# which needs hundreds of terms per element near z = 0.9.
+# ---------------------------------------------------------------------------
+
+_PSI_BREAKS = (0.0, 0.45, 0.7, 0.82, _NEAR_ONE)
+_PSI_DEGREE = 24
+_TABLE_RTOL = 1e-10
+
+
+def _chebyshev_table(f, breaks, degree: int) -> np.ndarray:
+    """Chebyshev coefficients, (pieces, degree + 1), of the interpolants of
+    ``f`` at the first-kind nodes of each piece [breaks[p], breaks[p + 1]].
+
+    ``f`` must be positive on the pieces.  Raises AccuracyError when the
+    table, at the piece edges and midway between its nodes, strays more than
+    _TABLE_RTOL relative from ``f``.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    n = degree + 1
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    values = f(lo + (hi - lo) * (np.cos(angles) + 1.0) / 2.0)
+    # a sum, not a matrix product, which would start the BLAS library
+    coefs = np.sum(values[:, None, :] * np.cos(np.outer(np.arange(n), angles)),
+                   axis=-1) * (2.0 / n)
+    coefs[:, 0] /= 2.0
+    # the second-kind points: every piece edge and every midway angle
+    check = (lo + (hi - lo) * (np.cos(np.pi * np.arange(n + 1) / n) + 1.0)
+             / 2.0).ravel()
+    want = f(check)
+    err = float(np.max(np.abs(_chebyshev_eval(breaks, coefs, check) - want)
+                       / want))
+    if not err <= _TABLE_RTOL:
+        raise AccuracyError(
+            f"Chebyshev table of degree {degree} on pieces {breaks.tolist()} "
+            f"is off by {err:.3g} relative", partial=coefs, bound=err)
+    return coefs
+
+
+def _chebyshev_eval(breaks, coefs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The table at each z in [breaks[0], breaks[-1]] (1-d): the piece by
+    ``searchsorted``, then one Clenshaw recurrence per piece."""
+    piece = np.searchsorted(breaks[1:-1], z)
+    out = np.empty_like(z)
+    for p, c in enumerate(coefs):
+        sel = np.flatnonzero(piece == p)
+        if not sel.size:
+            continue
+        lo, hi = breaks[p], breaks[p + 1]
+        x = z[sel] * (2.0 / (hi - lo)) - (hi + lo) / (hi - lo)
+        x2 = 2.0 * x
+        b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+        for cj in c[:0:-1].tolist():
+            np.multiply(x2, b1, out=tmp)
+            tmp -= b2
+            tmp += cj
+            b1, b2, tmp = tmp, b1, b2
+        x *= b1
+        x -= b2
+        x += c[0]
+        out[sel] = x
+    return out
+
+
+def _psi_exterior_params(k: int, alpha: float, d: int):
+    """(a, b, c) of Psi's exterior 2F1(a, b; c; 1/|x|^2)."""
+    a = (d + alpha) / 2.0
+    return a, (2.0 + alpha) / 2.0, k + 1.0 + a
+
+
+@lru_cache(maxsize=32)
+def _psi_exterior_table(k: int, alpha: float, d: int) -> np.ndarray:
+    """The Chebyshev table of Psi's exterior 2F1 on _PSI_BREAKS."""
+    a, b, c = _psi_exterior_params(k, alpha, d)
+    return _chebyshev_table(lambda z: _hyp2f1_vec(a, b, c, z), _PSI_BREAKS,
+                            _PSI_DEGREE)
+
+
 def psi_getoor_batch(k: int, alpha: float, d: int, r2: np.ndarray) -> np.ndarray:
     """Vectorized psi_getoor over squared radii r2 = |x|^2 (any shape).
 
-    Interior (|x| <= 1) the 2F1 terminates after k + 1 terms; the exterior
-    branch keeps the signed Gamma(-a/2) factor.
+    Interior (|x| <= 1) the 2F1 terminates after k + 1 terms.  The exterior
+    branch keeps the signed Gamma(-a/2) factor; its 2F1 at z = 1/|x|^2 comes
+    from the (k, alpha, d) Chebyshev table up to z = 0.9 and from the
+    connection formula above.
     """
+    _check_k_alpha(k, alpha, upper=2.0)
     r2 = np.asarray(r2, dtype=float)
     out = np.empty_like(r2)
-    a = (d + alpha) / 2.0
+    a, b, c = _psi_exterior_params(k, alpha, d)
     inside = r2 <= 1.0
     if np.any(inside):
         out[inside] = (_psi_interior_coef(k, alpha, d)
@@ -249,7 +346,16 @@ def psi_getoor_batch(k: int, alpha: float, d: int, r2: np.ndarray) -> np.ndarray
     outside = ~inside
     if np.any(outside):
         ro = r2[outside]
-        out[outside] = (_psi_exterior_coef(k, alpha, d) * ro ** (-a)
-                        * _hyp2f1_vec(a, (2.0 + alpha) / 2.0, k + 1.0 + a,
-                                      1.0 / ro))
+        coef = _psi_exterior_coef(k, alpha, d)
+        z = 1.0 / ro
+        f = np.empty_like(z)
+        near = z > _NEAR_ONE
+        if np.any(near):
+            f[near] = _hyp2f1_near_one_vec(a, b, c, z[near])
+        table = ~near
+        if np.any(table):
+            f[table] = _chebyshev_eval(_PSI_BREAKS,
+                                       _psi_exterior_table(k, alpha, d),
+                                       z[table])
+        out[outside] = coef * ro ** (-a) * f
     return out

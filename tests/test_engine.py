@@ -208,13 +208,18 @@ class TestSharedSkeleton:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_marks_of_a_model_without_gradient_terms(self, workers,
                                                      monkeypatch):
-        # linear-test has m = 0, so estimate_gradient_all has no mark to
-        # estimate; the engine's joint run of marks 0 and 1 is still each
-        # mark's estimate
+        # linear-test has m = 0 but d = 1: estimate_gradient_all still
+        # estimates du/dx_1, and the engine's joint run of marks 0 and 1 is
+        # still each mark's estimate
         monkeypatch.setattr(engine, "BATCH_TREES", 500)
         model = builtin_model("linear-test", alpha=1.5)
         x = np.array([0.3])
-        assert estimate_gradient_all(model, 0.9, x, 1.0, 1_000) == []
+        gradient = estimate_gradient_all(model, 0.9, x, 1.0, 1_000,
+                                         master_seed=3, workers=workers)
+        assert len(gradient) == 1
+        assert self._same(gradient[0],
+                          estimate(model, 0.9, x, 1, 1.0, 1_000,
+                                   master_seed=3, workers=workers))
         joint = engine._estimate_points(model, 0.9, x[None, :], (0, 1), 1.0,
                                         1_000, 3, workers, TreeBudget(), 0.0)
         for mark, res in enumerate(joint):

@@ -198,6 +198,26 @@ class TestCatalog:
         with pytest.warns(UserWarning):
             assert not audit_coeff_sup(model)
 
+    @pytest.mark.parametrize("name,kwargs,direction", [
+        ("nld", dict(d=10, k=0), np.eye(10)[0]),
+        ("nld", dict(d=3, k=2, alpha=0.7, T=0.5), np.eye(3)[0]),
+        ("gradd", dict(d=2, k=1), np.ones(2)),
+        ("gradd", dict(d=3, k=0, alpha=1.2, T=2.0), np.ones(3)),
+    ])
+    def test_radial_scan_is_the_per_time_scan(self, name, kwargs, direction):
+        # the build evaluates the source once on the whole (t, r) grid; the
+        # bound equals the scan that calls it at one t at a time
+        model = builtin_model(name, **kwargs)
+        coeff = model.nonlinearity.coeffs[0]
+        r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
+                             1.0 + np.geomspace(1e-4, 24.0, 400)])
+        x = (np.sqrt(np.maximum(r2, 1e-30))[:, None]
+             / np.linalg.norm(direction) * direction)
+        T = kwargs.get("T", 1.0)
+        loop = max(float(np.max(np.abs(coeff(t, x))))
+                   for t in np.linspace(0.0, T, 41))
+        assert model.nonlinearity.coeff_sup[0] == loop
+
     def test_models_pickle(self):
         for name, kwargs in [("nld", dict(d=10, k=1)),
                              ("gradd", dict(d=2, k=1)),

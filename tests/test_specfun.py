@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy import special
 
+from branchpde import specfun
 from branchpde.errors import AccuracyError, DomainError
 from branchpde.specfun import (gamma_fn, gamma_reflected, hyp2f1, phi_bump,
                                psi_getoor, psi_getoor_batch, upper_reg_gamma)
@@ -151,6 +152,18 @@ class TestPhiBump:
             phi_bump(0, 2.5, np.zeros(2))
 
 
+class TestPositivePower:
+    def test_is_clip_then_power(self):
+        # bit-identical to (v)_+ ** p, NaN included, in any shape
+        rng = np.random.default_rng(3)
+        v = rng.uniform(-1.0, 1.0, (7, 50))
+        v[0, :4] = [0.0, -0.0, np.nan, 1.0]
+        for p in (0.75, 1.0, 2.5, 7.0):
+            np.testing.assert_array_equal(
+                specfun._positive_power(v.copy(), p), np.maximum(v, 0.0) ** p)
+        assert specfun._positive_power(np.float64(0.25), 0.5) == 0.5
+
+
 def _fractional_laplacian_quadrature(k, alpha, d, x):
     """-(-Delta)^(alpha/2) of the bump at x, by the principal-value integral
     in polar coordinates (d = 2 only)."""
@@ -240,3 +253,53 @@ class TestPsiGetoor:
             psi_getoor(0, 2.0, 1, np.zeros(1))
         with pytest.raises(DomainError):
             psi_getoor(0, 1.5, 2, np.zeros(3))
+        # the batch form (an inline model's psi_getoor) refuses k < 0 even
+        # when every point is exterior
+        with pytest.raises(DomainError):
+            psi_getoor_batch(-1, 1.5, 2, np.array([4.0]))
+
+
+class TestPsiTable:
+    """Psi's exterior 2F1 on z in (0, 0.9] comes from a Chebyshev table
+    fitted to the core, ``_hyp2f1_vec``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 100])
+    @pytest.mark.parametrize("k", [0, 1, 5, 20])
+    @pytest.mark.parametrize("alpha", [0.01, 0.7, 1.5, 1.99])
+    def test_matches_the_core(self, k, alpha, d):
+        edges = np.array(specfun._PSI_BREAKS[1:])
+        z = np.concatenate([
+            np.linspace(1e-3, 0.9, 301), edges,
+            np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 1.0),
+            [1e-300, 1e-16, 1e-8, 1e-4]])
+        coefs = specfun._psi_exterior_table(k, alpha, d)
+        got = specfun._chebyshev_eval(specfun._PSI_BREAKS, coefs, z)
+        a, b, c = specfun._psi_exterior_params(k, alpha, d)
+        np.testing.assert_allclose(got, specfun._hyp2f1_vec(a, b, c, z),
+                                   rtol=1e-11, atol=0.0)
+
+    def test_psi_reads_the_table_not_the_series(self, monkeypatch):
+        k, alpha, d = 1, 1.5, 10
+        exterior = specfun._psi_exterior_params(k, alpha, d)
+        r2 = np.concatenate([np.linspace(0.0, 1.0, 5),
+                             np.geomspace(1.0 + 1e-6, 50.0, 200)])
+        before = psi_getoor_batch(k, alpha, d, r2)   # builds the table
+        calls = []
+        real = specfun._series_2f1_vec
+
+        def spy(a, b, c, z, *args, **kwargs):
+            calls.append(((a, b, c), np.asarray(z).copy()))
+            return real(a, b, c, z, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_series_2f1_vec", spy)
+        after = psi_getoor_batch(k, alpha, d, r2)
+        np.testing.assert_array_equal(after, before)
+        assert calls                     # the connection formula's series
+        assert all(params != exterior for params, _ in calls)
+
+    def test_too_coarse_a_table_is_refused(self):
+        a, b, c = specfun._psi_exterior_params(0, 1.5, 10)
+        with pytest.raises(AccuracyError) as err:
+            specfun._chebyshev_table(
+                lambda z: specfun._hyp2f1_vec(a, b, c, z), (0.0, 0.9), 6)
+        assert err.value.bound > 1e-10
