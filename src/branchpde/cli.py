@@ -33,7 +33,8 @@ from .errors import (AdmissibilityError, BranchPdeError, BudgetExceededError,
 from .existence import build_horizon_report
 from .model import (BranchingLaw, ConstantCoefficient, ExpressionCoefficient,
                     ExpressionTerminal, LifetimeDensity, PdeModel,
-                    PolynomialNonlinearity, TerminalCondition, builtin_model)
+                    PolynomialNonlinearity, TerminalCondition,
+                    audit_coeff_sup, builtin_model)
 from .sampling import RngStream, sample_stable_subordinator
 
 EXIT_OK = 0
@@ -186,7 +187,29 @@ def resolve_model(cfg: dict) -> PdeModel:
         for name, value in defaults.items()})
 
 
-def _common_run_params(cfg: dict, model: PdeModel):
+def _horizon_report(cfg: dict, model: PdeModel, T: float):
+    """The horizon report of ``model`` at the config's p and at ``T``.  An
+    inline model's coefficients are sampled too: a declared coeff_sup that
+    the samples exceed makes the report uncertified, with a note."""
+    p = _number(cfg.get("p", 2.0), "p")
+    eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
+    report = build_horizon_report(model, eta, p, T,
+                                  paper_literal=bool(cfg.get("paper_literal")))
+    # catalog sups come from scans of the coefficients; inline ones are
+    # declared
+    violated = (audit_coeff_sup(model, T)
+                if isinstance(cfg["model"], dict) else ())
+    if violated:
+        report = dataclasses.replace(report, verdict="uncertified",
+                                     notes=report.notes + violated)
+    return report
+
+
+def _read_run(cfg: dict):
+    """An estimate or sweep config's model, t and x, and the arguments of
+    ``estimate`` that follow x: (mark, T, n_trees) and the keywords.  None
+    when strict mode refuses to run."""
+    model = resolve_model(cfg)
     T = _number(cfg.get("T", 1.0), "T")
     t = _number(cfg.get("t", 0.0), "t")
     if not 0.0 <= t <= T:
@@ -210,23 +233,15 @@ def _common_run_params(cfg: dict, model: PdeModel):
         x = np.full(model.d, float(x[0]))
     if x.size != model.d:
         raise ConfigError(f"x must have {model.d} coordinates")
-    return T, t, n_trees, seed, workers, budget, x
-
-
-def _strict_gate(cfg: dict, model: PdeModel) -> bool:
-    """With "strict" set, refuse to run when the horizon check fails."""
-    if not cfg.get("strict"):
-        return True
-    p = _number(cfg.get("p", 2.0), "p")
-    eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
-    report = build_horizon_report(model, eta, p,
-                                  _number(cfg.get("T", 1.0), "T"),
-                                  paper_literal=bool(cfg.get("paper_literal")))
-    if report.verdict == "uncertified":
-        print(f"horizon check uncertified at p={p}; refusing to run "
-              "(strict mode)", file=sys.stderr)
-        return False
-    return True
+    mark = _number(cfg.get("mark", 0), "mark", int)
+    if cfg.get("strict"):
+        report = _horizon_report(cfg, model, T)
+        if report.verdict == "uncertified":
+            print(f"horizon check uncertified at p={report.p}; refusing to "
+                  "run (strict mode)", file=sys.stderr)
+            return None
+    return (model, t, x, (mark, T, n_trees),
+            {"master_seed": seed, "workers": workers, "budget": budget})
 
 
 # --------------------------------------------------------------------------
@@ -243,13 +258,11 @@ def _estimate_row(res: EstimatorResult):
 
 
 def cmd_estimate(cfg: dict) -> int:
-    model = resolve_model(cfg)
-    T, t, n_trees, seed, workers, budget, x = _common_run_params(cfg, model)
-    if not _strict_gate(cfg, model):
+    run = _read_run(cfg)
+    if run is None:
         return EXIT_UNCERTIFIED
-    mark = _number(cfg.get("mark", 0), "mark", int)
-    res = estimate(model, t, x, mark, T, n_trees, master_seed=seed,
-                   workers=workers, budget=budget)
+    model, t, x, args, kwargs = run
+    res = estimate(model, t, x, *args, **kwargs)
     out = cfg.get("out")
     _write_csv(out, _EST_HEADER, [_estimate_row(res)])
     doc = json.dumps(result_to_dict(res), indent=2)
@@ -272,20 +285,18 @@ def _parse_grid(spec) -> np.ndarray:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    model = resolve_model(cfg)
-    T, t, n_trees, seed, workers, budget, x = _common_run_params(cfg, model)
-    if not _strict_gate(cfg, model):
+    run = _read_run(cfg)
+    if run is None:
         return EXIT_UNCERTIFIED
-    mark = _number(cfg.get("mark", 0), "mark", int)
+    model, t, x, args, kwargs = run
     x1s = _parse_grid(cfg.get("grid", "-1.5:1.5:61"))
     points = np.tile(x, (x1s.size, 1))
     points[:, 0] = x1s
-    shared = Grid(points)
+    grid = Grid(points)
     rows = []
-    # one call per point; the first grows the trees for all of them
+    # one call per point, in grid order: bench/workloads.py counts them
     for point in points:
-        res = estimate(model, t, point, mark, T, n_trees, master_seed=seed,
-                       workers=workers, budget=budget, grid=shared)
+        res = estimate(model, t, point, *args, **kwargs, grid=grid)
         rows.append((float(point[0]),) + _estimate_row(res)[:5])
     _write_csv(cfg.get("out"), ("x1",) + _EST_HEADER[:5], rows)
     return EXIT_OK
@@ -293,11 +304,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_check(cfg: dict) -> int:
     model = resolve_model(cfg)
-    p = _number(cfg.get("p", 2.0), "p")
     T = _number(cfg.get("T", 1.0), "T")
-    eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
-    report = build_horizon_report(model, eta, p, T,
-                                  paper_literal=bool(cfg.get("paper_literal")))
+    report = _horizon_report(cfg, model, T)
     doc = dataclasses.asdict(report)
     doc["notes"] = list(doc["notes"])
     text = json.dumps(doc, indent=2)
@@ -306,7 +314,7 @@ def cmd_check(cfg: dict) -> int:
         print(text)
     else:
         _write_file(out, text + "\n")
-    print(f"model={model.name} p={p} T={T}: {report.verdict} "
+    print(f"model={model.name} p={report.p} T={T}: {report.verdict} "
           f"(C_circ={report.C_circ:.4g}, "
           f"C_partial_ratio={report.C_partial_ratio:.4g}, "
           f"t3b_bound={report.t3b_bound:.4g})", file=sys.stderr)
@@ -375,7 +383,8 @@ def main(argv=None) -> int:
         _check_out(cfg.get("out"))
         return _COMMANDS[args.command](cfg)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        print(f"budget exceeded after {exc.completed_trees} trees: {exc}",
+              file=sys.stderr)
         return EXIT_BUDGET
     except ProductOverflowError as exc:
         print(f"product overflow: {exc}", file=sys.stderr)

@@ -50,6 +50,13 @@ statistics record, (K G,) arrays over the run's K marks by G points of
 the means, squared deviations and zero counts, and the records are merged
 in batch order.  Randomness is drawn from one stream per fixed-size batch,
 whatever the marks, so estimates are bit-identical for any worker count.
+
+There is one run path.  ``estimate`` (one point, one mark), its ``Grid``
+lookup (every point of the grid, one mark) and ``estimate_gradient_all``
+(one point, marks 1..d) each call ``_estimate_points`` with a (G, d) array
+of points and a tuple of marks.  It alone validates the run, answers
+t == T without growing anything (each tree is its root leaf) and otherwise
+grows, merges and builds the results.
 """
 
 from __future__ import annotations
@@ -483,21 +490,6 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
     return h.T
 
 
-def _validate_point(model, t, x, mark, T):
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if xa.shape != (model.d,):
-        raise DomainError(f"x must have shape ({model.d},), got {xa.shape}")
-    if not (np.isfinite(t) and np.isfinite(T) and np.all(np.isfinite(xa))):
-        raise DomainError(f"t, T and x must be finite, got t={t}, T={T}, x={xa}")
-    if not 0 <= mark <= model.d:
-        raise DomainError(f"mark must lie in 0..{model.d}, got {mark}")
-    if t > T:
-        raise DomainError(f"require t <= T, got t={t} > T={T}")
-    if mark != 0 and t == T:
-        raise DegenerateDerivativeError(
-            "derivative weight is degenerate at t == T; use t < T")
-
-
 def _batch_stats(model, t, points, marks, T, master_seed, batch_idx,
                  batch_size, budget) -> _BatchStats:
     """Grow batch ``batch_idx`` once, then for each of ``marks`` plan its
@@ -561,36 +553,72 @@ def _merge_batches(results) -> _BatchStats:
 
 
 def _estimate_points(model, t, points, marks, T, n_trees, master_seed,
-                     workers, budget, start) -> list:
-    """One EstimatorResult per mark of ``marks`` and row of ``points``,
-    mark-major, all from the same trees.
+                     workers, budget) -> list:
+    """One EstimatorResult per mark of ``marks`` and row of ``points``, a
+    (G, d) array, mark-major, all from the same trees.
 
-    Batches are grown one at a time (or one per pool job) and merged per
-    point in batch order, so the results do not depend on ``workers``.
+    Every entry point runs through here.  A bad run raises DomainError, and
+    a mark >= 1 at t == T raises DegenerateDerivativeError.  At t == T each
+    tree is its root leaf, so each point's estimate is phi there with
+    stderr 0, and nothing is grown.  Otherwise batches are grown one at a
+    time (or one per pool job) and merged per point in batch order, so the
+    results do not depend on ``workers``.  Each result's ``elapsed`` is the
+    time of the whole run.
     """
-    sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
-    if n_trees % BATCH_TREES:
-        sizes.append(n_trees % BATCH_TREES)
-    batch = partial(_batch_stats, model, t, points, marks, T, master_seed,
-                    budget=budget)
-    if workers == 1 or len(sizes) == 1:
-        total = _merge_batches(map(batch, range(len(sizes)), sizes))
+    start = time.perf_counter()
+    if n_trees < 2:
+        raise DomainError(f"n_trees must be >= 2, got {n_trees}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    if points.ndim != 2 or points.shape[1] != model.d:
+        raise DomainError(f"x must have shape ({model.d},), got "
+                          f"{points.shape[1:]}")
+    if not (np.isfinite(t) and np.isfinite(T)
+            and np.all(np.isfinite(points))):
+        raise DomainError(f"t, T and x must be finite, got t={t}, T={T}")
+    for mark in marks:
+        if not 0 <= mark <= model.d:
+            raise DomainError(f"mark must lie in 0..{model.d}, got {mark}")
+    if t > T:
+        raise DomainError(f"require t <= T, got t={t} > T={T}")
+
+    if t == T:
+        if any(marks):
+            raise DegenerateDerivativeError(
+                "derivative weight is degenerate at t == T; use t < T")
+        # one particle and one level per tree, and no draws
+        phi = np.tile(np.asarray(model.terminal.phi(points), dtype=float),
+                      len(marks))
+        total = _BatchStats(n=n_trees, mean=phi, m2=np.zeros_like(phi),
+                            zeros=np.where(phi == 0.0, n_trees, 0),
+                            sum_particles=n_trees, max_particles=1,
+                            generations=1, cms_resamples=0)
     else:
-        # under the fork start method a pool starts all of its workers at
-        # its first job, so it gets no more than there are batches
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(sizes)))
-        try:
-            total = _merge_batches(pool.map(batch, range(len(sizes)), sizes))
-        finally:
-            pool.shutdown(cancel_futures=True)
+        sizes = [BATCH_TREES] * (n_trees // BATCH_TREES)
+        if n_trees % BATCH_TREES:
+            sizes.append(n_trees % BATCH_TREES)
+        batch = partial(_batch_stats, model, t, points, marks, T,
+                        master_seed, budget=budget)
+        if workers == 1 or len(sizes) == 1:
+            total = _merge_batches(map(batch, range(len(sizes)), sizes))
+        else:
+            # under the fork start method a pool starts all of its workers
+            # at its first job, so it gets no more than there are batches
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(sizes)))
+            try:
+                total = _merge_batches(pool.map(batch, range(len(sizes)),
+                                                sizes))
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     elapsed = time.perf_counter() - start
     n = total.n
     stderr = np.sqrt(total.m2 / (n - 1) / n)
     half = 1.959964 * stderr
     return [EstimatorResult(
-        mean=mean, stderr=se, ci95=(mean - h, mean + h), n_trees=n,
-        elapsed=elapsed, mean_tree_size=total.sum_particles / n,
+        # a zero half-width keeps the sign of a zero mean (phi at t == T)
+        mean=mean, stderr=se, ci95=(mean - h, mean + h) if h else (mean, mean),
+        n_trees=n, elapsed=elapsed, mean_tree_size=total.sum_particles / n,
         max_tree_size=total.max_particles, zero_frac=zeros / n,
         generations=total.generations, cms_resamples=total.cms_resamples)
         for mean, se, h, zeros in zip(total.mean.tolist(), stderr.tolist(),
@@ -602,9 +630,10 @@ class Grid:
     trees.
 
     Pass the same Grid to ``estimate(..., grid=...)`` at each of its points.
-    The first call grows every batch once, evaluates it at all points and
-    keeps the results here; the calls that follow with the same model and
-    run parameters return their point's result without growing anything.
+    The first call estimates every point from the same trees and keeps the
+    run's key (model and run parameters) and results here; the calls that
+    follow with the same key return their point's result without growing
+    anything.
     """
 
     def __init__(self, points):
@@ -612,22 +641,8 @@ class Grid:
         if self.points.ndim != 2:
             raise DomainError("grid points must form a (G, d) array, got "
                               f"shape {self.points.shape}")
-        self._model = None      # the model and run parameters of _results
-        self._run = None
+        self._key = None
         self._results = None
-
-    def _index(self, x) -> int:
-        hits = np.flatnonzero(np.all(self.points == x, axis=1))
-        if not hits.size:
-            raise DomainError(f"x={x} is not a point of the grid")
-        return int(hits[0])
-
-
-def _validate_run(n_trees: int, workers: int):
-    if n_trees < 2:
-        raise DomainError(f"n_trees must be >= 2, got {n_trees}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
 
 
 def estimate(model: PdeModel, t: float, x, mark: int, T: float,
@@ -641,37 +656,23 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
     mark grows the same trees from the same streams.  With a ``grid``
     holding x, all of the grid's points are estimated from the same trees on
     the first call, and later calls return the stored results (their
-    ``elapsed`` is the time of the whole grid).
+    ``elapsed`` is the time of the whole grid); an x that is not a row of
+    the grid raises DomainError.
     """
-    _validate_run(n_trees, workers)
-    _validate_point(model, t, x, mark, T)
-    start = time.perf_counter()
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-
-    if t == T:
-        # each tree is its root leaf: one particle, one level, no draws
-        value = float(model.terminal.phi(xa[None, :])[0])
-        return EstimatorResult(mean=value, stderr=0.0, ci95=(value, value),
-                               n_trees=n_trees,
-                               elapsed=time.perf_counter() - start,
-                               mean_tree_size=1.0, max_tree_size=1,
-                               zero_frac=float(value == 0.0), generations=1,
-                               cms_resamples=0)
-
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if grid is None:
-        return _estimate_points(model, t, xa[None, :], (mark,), T, n_trees,
-                                master_seed, workers, budget, start)[0]
-    index = grid._index(xa)
-    run = (t, mark, T, n_trees, master_seed, budget)
-    if grid._model is not model or grid._run != run:
-        grid._model = grid._run = grid._results = None
-        for point in grid.points:
-            _validate_point(model, t, point, mark, T)
+        return _estimate_points(model, t, x[None, :], (mark,), T, n_trees,
+                                master_seed, workers, budget)[0]
+    hits = (np.flatnonzero(np.all(grid.points == x, axis=1))
+            if x.shape == grid.points.shape[1:] else ())
+    if not len(hits):
+        raise DomainError(f"x={x} is not a point of the grid")
+    key = (model, t, mark, T, n_trees, master_seed, budget)
+    if grid._key != key:
         grid._results = _estimate_points(model, t, grid.points, (mark,), T,
-                                         n_trees, master_seed, workers,
-                                         budget, start)
-        grid._model, grid._run = model, run
-    return grid._results[index]
+                                         n_trees, master_seed, workers, budget)
+        grid._key = key
+    return grid._results[hits[0]]
 
 
 def estimate_gradient_all(model: PdeModel, t: float, x, T: float,
@@ -684,13 +685,9 @@ def estimate_gradient_all(model: PdeModel, t: float, x, T: float,
     share their trees with each other and with the estimate of u at the same
     seed, so their estimates are correlated.
     """
-    marks = tuple(range(1, model.d + 1))
-    _validate_run(n_trees, workers)
-    for mark in marks:
-        _validate_point(model, t, x, mark, T)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    return _estimate_points(model, t, xa[None, :], marks, T, n_trees,
-                            master_seed, workers, budget, time.perf_counter())
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _estimate_points(model, t, x[None, :], tuple(range(1, model.d + 1)),
+                            T, n_trees, master_seed, workers, budget)
 
 
 def resolve_workers(requested: int | None) -> int:

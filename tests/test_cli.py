@@ -79,13 +79,25 @@ class TestEstimate:
         main(["estimate", "--config", cfg, "--out", str(b)])
         assert a.read_text() == b.read_text()
 
-    def test_budget_abort_exit_2(self, tmp_path):
+    def test_budget_abort_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 1,000-tree batches, of which the first two grow within the
+        # default budget and the third outgrows one generation
+        grow = engine._grow_skeleton
+
+        def third_aborts(model, t, T, n, rng, budget):
+            return grow(model, t, T, n, rng,
+                        engine.DEFAULT_BUDGET if rng.stream_id < 2 else budget)
+
+        monkeypatch.setattr(engine, "BATCH_TREES", 1_000)
+        monkeypatch.setattr(engine, "_grow_skeleton", third_aborts)
         cfg = _write_cfg(tmp_path, "cfg.json", {
             "model": "nld", "d": 1, "alpha": 1.5, "k": 1, "t": 0.0, "T": 1.0,
             "n_trees": 10_000, "budget": {"max_generation": 1}})
         out = tmp_path / "r.csv"
         assert main(["estimate", "--config", cfg,
                      "--out", str(out)]) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith(
+            "budget exceeded after 2000 trees: tree outgrew its budget")
 
     def test_inline_model(self, tmp_path):
         # f = 0.8 u with phi = 1 expressed inline; same solution e^(0.8 (T-t))
@@ -209,6 +221,31 @@ class TestCheck:
                          {"model": "burgers-halfspace", "d": 2, "alpha": 1.5,
                           "kappa": 10.0, "p": 1.0, "T": 1.0})
         assert main(["check", "--config", cfg]) == EXIT_UNCERTIFIED
+
+    def test_false_coeff_sup_is_uncertified(self, tmp_path, capsys,
+                                            monkeypatch):
+        # |c| = |10 cos(x1)| reaches 10, but 0.01 is declared: taken at its
+        # word, the bound certifies route a (C_circ = 0.0066)
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": {"d": 1, "m": 0, "alpha": 1.5, "delta": 0.3,
+                      "indices": [[2]], "coeffs": ["10*cos(x1)"],
+                      "coeff_sup": [0.01],
+                      "terminal": {"expr": "0.05*cos(x1)", "sup": 0.05,
+                                   "lipschitz": 0.05}},
+            "t": 0.0, "T": 1.0, "p": 2.0, "n_trees": 1_000})
+        out = tmp_path / "report.json"
+        assert main(["check", "--config", cfg,
+                     "--out", str(out)]) == EXIT_UNCERTIFIED
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "uncertified" and doc["C_circ"] < 1.0
+        assert any("(2,)" in note and "reached 10" in note
+                   for note in doc["notes"])
+        calls = []
+        monkeypatch.setattr(cli, "estimate", lambda *a, **k: calls.append(a))
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg,
+                     "--strict"]) == EXIT_UNCERTIFIED
+        assert "refusing to run" in capsys.readouterr().err and not calls
 
 
 class TestSampleDiag:
@@ -346,7 +383,7 @@ class TestResultRoundTrip:
 
 
 # The stderr line each documented non-zero exit code of a sweep starts with
-_TYPED_EXITS = {EXIT_BUDGET: ("budget exceeded:",),
+_TYPED_EXITS = {EXIT_BUDGET: ("budget exceeded after ",),
                 EXIT_CONFIG: ("configuration error:", "error:"),
                 EXIT_OVERFLOW: ("product overflow:",)}
 _EXPRESSIONS = ("1", "cos(x1)", "exp(-t) * sin(x1)", "pospart(1 - norm2())",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
-                              EstimatorResult, TreeBudget, _evaluate,
+                              EstimatorResult, Grid, TreeBudget, _evaluate,
                               _grow_skeleton, _plan, _values, estimate,
                               estimate_gradient_all, resolve_workers)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
@@ -221,7 +221,7 @@ class TestSharedSkeleton:
                           estimate(model, 0.9, x, 1, 1.0, 1_000,
                                    master_seed=3, workers=workers))
         joint = engine._estimate_points(model, 0.9, x[None, :], (0, 1), 1.0,
-                                        1_000, 3, workers, TreeBudget(), 0.0)
+                                        1_000, 3, workers, TreeBudget())
         for mark, res in enumerate(joint):
             alone = estimate(model, 0.9, x, mark, 1.0, 1_000, master_seed=3,
                              workers=workers)
@@ -597,14 +597,29 @@ class TestValidation:
     def test_gradient_all_validates_like_estimate(self, t, x, n_trees,
                                                   workers, error):
         model = builtin_model("gradd", d=2, alpha=1.5, k=1)
+        x = np.array(x)
         for call in (
-                lambda: estimate(model, t, np.array(x), 1, 1.0, n_trees,
+                lambda: estimate(model, t, x, 1, 1.0, n_trees,
                                  workers=workers),
-                lambda: estimate_gradient_all(model, t, np.array(x), 1.0,
-                                              n_trees, workers=workers)):
+                lambda: estimate_gradient_all(model, t, x, 1.0, n_trees,
+                                              workers=workers),
+                lambda: estimate(model, t, x, 1, 1.0, n_trees,
+                                 workers=workers, grid=Grid([x]))):
             with pytest.raises(error) as err:
                 call()
             assert type(err.value) is error
+        # a Grid refuses a point of another shape or off the grid, and at
+        # t == T gives phi at each point for mark 0 and refuses mark 1
+        grid = Grid([[0.0, 0.0], [0.5, 0.0]])
+        for point in ([0.0], [0.0, 0.0, 0.0], [0.25, 0.0]):
+            with pytest.raises(DomainError) as err:
+                estimate(model, 0.5, np.array(point), 0, 1.0, 100, grid=grid)
+            assert type(err.value) is DomainError
+        for point, phi in zip(grid.points, model.terminal.phi(grid.points)):
+            res = estimate(model, 1.0, point, 0, 1.0, 100, grid=grid)
+            assert (res.mean, res.stderr, res.ci95) == (phi, 0.0, (phi, phi))
+        with pytest.raises(DegenerateDerivativeError):
+            estimate(model, 1.0, grid.points[0], 1, 1.0, 100, grid=grid)
 
     def test_bad_inputs(self):
         model = builtin_model("linear-test")

@@ -184,7 +184,7 @@ class TestCatalog:
         ("linear-test", dict(c=0.5)),
     ])
     def test_audit_passes(self, name, kwargs):
-        assert audit_coeff_sup(builtin_model(name, **kwargs))
+        assert audit_coeff_sup(builtin_model(name, **kwargs)) == ()
 
     def test_audit_flags_violation(self):
         nonlin = PolynomialNonlinearity(
@@ -195,8 +195,9 @@ class TestCatalog:
                          terminal=TerminalCondition(ConstantTerminal(), 1.0, 0.0),
                          branching=uniform_branching(1),
                          lifetime=LifetimeDensity(0.5))
-        with pytest.warns(UserWarning):
-            assert not audit_coeff_sup(model)
+        notes = audit_coeff_sup(model)
+        assert len(notes) == 1
+        assert "(1,)" in notes[0] and "reached 5" in notes[0]
 
     @pytest.mark.parametrize("name,kwargs,direction", [
         ("nld", dict(d=10, k=0), np.eye(10)[0]),

@@ -12,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from branchpde import engine
+from branchpde import cli, engine
 from branchpde.cli import EXIT_OK, main, resolve_model
 from branchpde.errors import DomainError
 
@@ -113,6 +113,38 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch, small_batches):
            "workers": 2}
     rows = _sweep(tmp_path, cfg, "linear")
     assert len(rows) == 5 and len(starts) == 1
+
+
+def test_sweep_calls_estimate_once_per_point(tmp_path, monkeypatch,
+                                             small_batches):
+    """A sweep calls ``cli.estimate`` once per grid point, in grid order,
+    with the point third and the mark fourth positionally, and its first
+    call comes before any tree is grown: the benchmark harness times a
+    sweep from that call and counts its trees per call."""
+    events = []
+    estimate, grow = cli.estimate, engine._grow_skeleton
+
+    def spy_estimate(*args, **kwargs):
+        events.append(("estimate", args[2].tolist(), args[3]))
+        return estimate(*args, **kwargs)
+
+    def spy_grow(*args):
+        events.append(("grow",))
+        return grow(*args)
+
+    monkeypatch.setattr(cli, "estimate", spy_estimate)
+    monkeypatch.setattr(engine, "_grow_skeleton", spy_grow)
+    cfg = {"model": "gradd", "d": 2, "alpha": 1.5, "k": 1, "t": 0.9,
+           "T": 1.0, "x": [0.0, 0.3], "mark": 2, "grid": "-1:1:5",
+           "n_trees": 2_500, "seed": 3}
+    rows = _sweep(tmp_path, cfg, "gradd")
+    calls = [i for i, event in enumerate(events) if event[0] == "estimate"]
+    grows = [i for i, event in enumerate(events) if event[0] == "grow"]
+    assert [events[i][1:] for i in calls] == [
+        ([float(row["x1"]), 0.3], 2) for row in rows]
+    assert [float(row["x1"]) for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    # the first call grows all 3 batches, and the others grow nothing
+    assert calls[0] < grows[0] and grows[-1] < calls[1] and len(grows) == 3
 
 
 def test_grid_rejects_foreign_point():
