@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -85,14 +86,19 @@ def _check_out(path) -> None:
                           "writable directory")
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(path, text: str) -> None:
+    """Write ``text`` to stdout when ``path`` is None, else to the file at
+    ``path`` through ``_write_file``."""
     if path is None:
         sys.stdout.write(text)
     else:
         _write_file(path, text)
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def result_to_dict(res: EstimatorResult) -> dict:
@@ -161,7 +167,7 @@ def _build_inline_model(spec: dict) -> PdeModel:
         n_cat = len(indices)
         probs = tuple(_number(v, "q") for v in spec.get(
             "q", [1.0 / n_cat] * n_cat))
-        nonlin = PolynomialNonlinearity(d=d, m=m, indices=indices,
+        nonlin = PolynomialNonlinearity(m=m, indices=indices,
                                         coeffs=tuple(coeffs), coeff_sup=sups)
         return PdeModel(name=str(spec.get("name", "inline")), d=d,
                         alpha=_number(spec.get("alpha", 1.5), "alpha"),
@@ -180,11 +186,13 @@ def resolve_model(cfg: dict) -> PdeModel:
         raise ConfigError("config must name a model or define one inline")
     if isinstance(spec, dict):
         return _build_inline_model(spec)
-    defaults = {"d": 1, "alpha": 1.5, "k": 0, "kappa": 1.0, "c": 1.0,
-                "T": 1.0, "delta": 0.5}
+    # each catalog parameter the config sets, read as the kind (int or
+    # float) of its default in builtin_model's signature
+    params = inspect.signature(builtin_model).parameters
     return builtin_model(str(spec), **{
-        name: _number(cfg.get(name, value), name, type(value))
-        for name, value in defaults.items()})
+        name: _number(cfg[name], name, type(param.default))
+        for name, param in params.items()
+        if param.default is not param.empty and name in cfg})
 
 
 def _horizon_report(cfg: dict, model: PdeModel, T: float):
@@ -265,11 +273,8 @@ def cmd_estimate(cfg: dict) -> int:
     res = estimate(model, t, x, *args, **kwargs)
     out = cfg.get("out")
     _write_csv(out, _EST_HEADER, [_estimate_row(res)])
-    doc = json.dumps(result_to_dict(res), indent=2)
-    if out is None:
-        print(doc)
-    else:
-        _write_file(str(out) + ".json", doc + "\n")
+    _emit(None if out is None else out + ".json",
+          json.dumps(result_to_dict(res), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -308,12 +313,7 @@ def cmd_check(cfg: dict) -> int:
     report = _horizon_report(cfg, model, T)
     doc = dataclasses.asdict(report)
     doc["notes"] = list(doc["notes"])
-    text = json.dumps(doc, indent=2)
-    out = cfg.get("out")
-    if out is None:
-        print(text)
-    else:
-        _write_file(out, text + "\n")
+    _emit(cfg.get("out"), json.dumps(doc, indent=2) + "\n")
     print(f"model={model.name} p={report.p} T={T}: {report.verdict} "
           f"(C_circ={report.C_circ:.4g}, "
           f"C_partial_ratio={report.C_partial_ratio:.4g}, "

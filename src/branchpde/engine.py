@@ -20,9 +20,10 @@ Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
 is independent of the root position x, which enters only by translation.  So
 a batch of trees is grown once, level-synchronously and rooted at the origin,
 into a skeleton stored flat by kind: every leaf, then the interior particles
-of each offspring category.  Each quantity (tree index, displacement, weight,
-death time) is one array with a row per particle, and a kind is a slice of
-its rows.  One skeleton serves every point of a sweep.
+of each offspring category.  Each quantity (tree index, displacement,
+weight) is one array with a row per particle, and a kind is a slice of its
+rows; death times are one array with a row per interior particle.  One
+skeleton serves every point of a sweep.
 
 A child's mark depends only on its offspring category, so the trees of
 every root mark are the same.  A skeleton is grown with mark-0 roots and
@@ -42,8 +43,9 @@ the other categories.  phi and c_l of the catalog's radial models
 (ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
 sum_j (x + disp)_j, continued from the plan's per-row sums of the
 displacements over the coordinates above the last one that is nonzero in
-any of the run's points, one column at a time below it; the others are
-called at x + disp point by point.
+any of the run's points, one column at a time below it, in the order of
+``specfun.radial_args``; the others are called at x + disp point by
+point.
 A point's values are the same bits whatever other points share its block
 or its run.  Each block's tree values are reduced into the batch's one
 statistics record, (K G,) arrays over the run's K marks by G points of

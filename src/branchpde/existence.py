@@ -17,12 +17,15 @@ Two routes are evaluated:
 
 The gamma lifetime density makes the sups over s in (0, T] closed-form: the
 function s^b e^(cs) attains its sup at s = T when b >= 0 and is unbounded at
-s -> 0+ when b < 0.
+s -> 0+ when b < 0.  At a long horizon a sup that overflows, or a
+survival(T)^p that underflows to 0, reads as infinite, so the route does
+not certify.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +75,7 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
 
     e_rho = (1.0 - delta) * (p - 1.0)
     cond_rho = e_rho > -1.0
-    if cond_rho:
-        rho_integral, _ = _integrate.quad(lambda s: rho(s) ** (1.0 - p),
-                                          0.0, T, epsrel=1e-9, limit=200)
-    else:
-        rho_integral = math.inf
+    rho_integral = _rho_power_integral(delta, p, T) if cond_rho else math.inf
 
     # small-s decay exponent of  rho^(1-p)(s) * inner(s)
     s_grid = np.geomspace(1e-6, min(T, 1e-2), 8)
@@ -94,11 +93,31 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
                          inconclusive=inconclusive or cd.inconclusive)
 
 
+def _rho_power_integral(delta: float, p: float, T: float) -> float:
+    """The integral over (0, T] of rho(s)^(1-p) for the gamma(delta, 1)
+    density, integrated as exp((1 - p) log rho(s)) so that rho(s) never
+    underflows.  Infinite once T rho(T)^(1-p), which bounds the integral
+    when delta <= 1, leaves the float range."""
+    def log_power(s):
+        return (p - 1.0) * ((1.0 - delta) * math.log(s) + s
+                            + math.lgamma(delta))
+
+    if log_power(T) + math.log(T) >= math.log(sys.float_info.max):
+        return math.inf
+    value, _ = _integrate.quad(lambda s: math.exp(log_power(s)), 0.0, T,
+                               epsrel=1e-9, limit=200)
+    return value
+
+
 def _gamma_sup(b: float, c: float, scale: float, T: float) -> float:
-    """sup over s in (0, T] of scale * s^b * e^(cs); infinite when b < 0."""
+    """sup over s in (0, T] of scale * s^b * e^(cs); infinite when b < 0 or
+    when it overflows."""
     if b < 0.0:
         return math.inf
-    return scale * T ** b * math.exp(c * T)
+    try:
+        return scale * T ** b * math.exp(c * T)
+    except OverflowError:
+        return math.inf
 
 
 def _c_partial(model: PdeModel, p: float, paper_literal: bool) -> float:
@@ -110,6 +129,15 @@ def _c_partial(model: PdeModel, p: float, paper_literal: bool) -> float:
     m_p = abs_gaussian_moment(p, paper_literal)
     return max(model.terminal.sup_norm ** p,
                m_p * lip ** p * math.sqrt(model.d))
+
+
+def _partial_ratio(model: PdeModel, p: float, e: float, T: float,
+                   paper_literal: bool) -> float:
+    """C_partial / survival(T)^e, infinite once survival(T)^e underflows
+    to 0, so that a long horizon is not certified."""
+    c_partial = _c_partial(model, p, paper_literal)
+    survival = upper_reg_gamma(model.lifetime.delta, T) ** e
+    return c_partial / survival if survival > 0.0 else math.inf
 
 
 def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
@@ -147,7 +175,7 @@ def horizon_bound_a(model: PdeModel, p: float, T: float,
         raise AdmissibilityError(
             f"route a needs delta <= 1 - 1/alpha = {1.0 - 1.0 / alpha:.6g}, "
             f"got {delta}")
-    ratio = _c_partial(model, p, paper_literal) / upper_reg_gamma(delta, T) ** p
+    ratio = _partial_ratio(model, p, p, T, paper_literal)
     return c_circ, ratio, (c_circ <= 1.0 and ratio <= 1.0)
 
 
@@ -168,9 +196,9 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
         return c_tilde, math.inf, True
     if not math.isfinite(c_tilde):
         return c_tilde, 0.0, False
-
-    a_lo = (_c_partial(model, p, paper_literal)
-            / upper_reg_gamma(model.lifetime.delta, T) ** r)
+    a_lo = _partial_ratio(model, p, r, T, paper_literal)
+    if not math.isfinite(a_lo):
+        return c_tilde, 0.0, False
 
     def denom(xv):
         return sum(c * xv ** o for c, o in zip(sups, orders))

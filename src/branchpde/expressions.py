@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DimensionError, EvaluationError, ParseError,
                      UnknownIdentifierError)
 from .specfun import phi_bump as _phi_bump
-from .specfun import psi_getoor_batch
+from .specfun import psi_getoor_batch, radial_args
 
 # --------------------------------------------------------------------------
 # AST
@@ -275,13 +275,13 @@ def _eval_call(node, t, pts):
             return np.sin(v)
         return np.maximum(0.0, v)
     if name == "norm2":
-        return np.sum(pts ** 2, axis=1)
+        return radial_args(pts)[0]
     params = [a.value for a in node.args]
     if name == "phi_bump":
         return _phi_bump(int(params[0]), params[1], pts)
     if name == "psi_getoor":
-        r2 = np.sum(pts ** 2, axis=1)
-        return psi_getoor_batch(int(params[0]), params[1], pts.shape[1], r2)
+        return psi_getoor_batch(int(params[0]), params[1], pts.shape[1],
+                                radial_args(pts)[0])
     # indicator_box
     lo, hi = params
     return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)

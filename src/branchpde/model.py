@@ -21,33 +21,16 @@ import numpy as np
 from .errors import AdmissibilityError, DomainError, UnknownModelError
 from .expressions import eval_expression, parse_expression
 from .specfun import (_positive_power, bump_r2, gamma_fn, psi_getoor_batch,
-                      upper_reg_gamma)
+                      radial_args, upper_reg_gamma)
 from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bump)
-
-
-def radial_args(x):
-    """|x|^2 and sum_j x_j of points x (..., d), each summed from the last
-    coordinate to the first.
-
-    The radial models (ScaledBump, NldSource, GraddSource) depend on x only
-    through these two sums.  The engine continues the same sums from cached
-    tails of its displacements, so both routes agree bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = np.zeros(x.shape[:-1])
-    s = np.zeros(x.shape[:-1])
-    for j in range(x.shape[-1] - 1, -1, -1):
-        y = x[..., j]
-        s += y
-        r2 += y * y
-    return r2, s
 
 
 # --------------------------------------------------------------------------
 # Coefficient functions (t may be scalar or (n,); x is (n, d); result (n,)).
 # A coefficient or terminal that depends on x only through |x|^2 and
 # sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal),
-# which the engine calls instead of building x itself.
+# which the engine calls instead of building x itself.  Both sums come from
+# ``specfun.radial_args``, whose docstring states their order.
 # --------------------------------------------------------------------------
 
 
@@ -195,15 +178,12 @@ class ExpressionTerminal:
 class PolynomialNonlinearity:
     """f(t,x,y,z) = sum_l c_l(t,x) y^(l_0) prod_i z_i^(l_i) over l in L_m."""
 
-    d: int
     m: int
     indices: tuple          # tuple of multi-indices, each of length m + 1
     coeffs: tuple           # coefficient callables, aligned with indices
     coeff_sup: tuple        # sup-norm bound per coefficient
 
     def __post_init__(self):
-        if self.d < 1 or not 0 <= self.m <= self.d:
-            raise DomainError("require d >= 1 and 0 <= m <= d")
         if not self.indices:
             raise DomainError("L_m must be non-empty")
         for l in self.indices:
@@ -285,6 +265,14 @@ class PdeModel:
     lifetime: LifetimeDensity
 
     def __post_init__(self):
+        if self.d < 1 or not 0 <= self.m <= self.d:
+            raise DomainError("require d >= 1 and 0 <= m <= d, got "
+                              f"d={self.d}, m={self.m}")
+        # the terminal and coefficients that carry a dimension must share it
+        for part in (self.terminal.phi,) + tuple(self.nonlinearity.coeffs):
+            if getattr(part, "d", self.d) != self.d:
+                raise DomainError(f"{type(part).__name__} has d={part.d}, "
+                                  f"but the model has d={self.d}")
         if not 0.0 < self.alpha <= 2.0:
             raise AdmissibilityError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not 0.0 < self.kappa < np.inf:
@@ -331,8 +319,8 @@ def _radial_sup(coeff, direction: np.ndarray, T: float) -> float:
     """
     r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
                          1.0 + np.geomspace(1e-4, 24.0, 400)])
-    x = (np.sqrt(np.maximum(r2, 1e-30))[:, None] / np.linalg.norm(direction)
-         * direction)
+    x = (np.sqrt(np.maximum(r2, 1e-30))[:, None]
+         / np.sqrt(radial_args(direction)[0]) * direction)
     times = np.linspace(0.0, T, 41)[:, None]
     return float(np.max(np.abs(coeff.radial(times, *radial_args(x)))))
 
@@ -361,6 +349,9 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
     if name in ("nld", "gradd") and kappa != 1.0:
         raise AdmissibilityError(f"{name} requires kappa = 1, got {kappa}")
     lifetime = LifetimeDensity(delta=delta)
+    # (1, e_i): u times du/dx_i, the gradient terms of gradd and burgers
+    grads = tuple((1,) + tuple(int(j == i) for j in range(d))
+                  for i in range(d))
 
     if name == "nld":
         if not 0.0 < alpha < 2.0:
@@ -370,7 +361,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
                   ConstantCoefficient(1.0), ConstantCoefficient(1.0))
         # |c_0| is radial
         sups = (_radial_sup(coeffs[0], np.eye(d)[0], T), 1.0, 1.0)
-        nonlin = PolynomialNonlinearity(d=d, m=0, indices=indices,
+        nonlin = PolynomialNonlinearity(m=0, indices=indices,
                                         coeffs=coeffs, coeff_sup=sups)
         return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
                         nonlinearity=nonlin, terminal=_bump_terminal(k, alpha, T),
@@ -381,14 +372,12 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
             raise AdmissibilityError("gradient-bearing models require alpha in (1, 2)")
         zero = (0,) * (d + 1)
         lone_u = (1,) + (0,) * d
-        grads = tuple((1,) + tuple(1 if j == i else 0 for j in range(d))
-                      for i in range(d))
         indices = (zero, lone_u) + grads
         coeffs = ((GraddSource(k=k, alpha=alpha, d=d),)
                   + (ConstantCoefficient(1.0),) * (d + 1))
         # the worst direction for sum_j x_j is the diagonal
         sups = (_radial_sup(coeffs[0], np.ones(d), T),) + (1.0,) * (d + 1)
-        nonlin = PolynomialNonlinearity(d=d, m=d, indices=indices,
+        nonlin = PolynomialNonlinearity(m=d, indices=indices,
                                         coeffs=coeffs, coeff_sup=sups)
         return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
                         nonlinearity=nonlin, terminal=_bump_terminal(k, alpha, T),
@@ -399,11 +388,9 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
             raise AdmissibilityError("gradient-bearing models require alpha in (1, 2]")
         # du/dt + kappa Delta_alpha u - u sum_j du/dx_j = 0 rearranged into the
         # canonical form gives the convection term coefficient -1
-        grads = tuple((1,) + tuple(1 if j == i else 0 for j in range(d))
-                      for i in range(d))
         coeffs = (ConstantCoefficient(-1.0),) * d
         sups = (1.0,) * d
-        nonlin = PolynomialNonlinearity(d=d, m=d, indices=grads,
+        nonlin = PolynomialNonlinearity(m=d, indices=grads,
                                         coeffs=coeffs, coeff_sup=sups)
         if name == "burgers-halfspace":
             terminal = TerminalCondition(phi=HalfspaceIndicator(), sup_norm=1.0,
@@ -416,7 +403,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
                         branching=uniform_branching(d), lifetime=lifetime)
 
     if name == "linear-test":
-        nonlin = PolynomialNonlinearity(d=d, m=0, indices=((1,),),
+        nonlin = PolynomialNonlinearity(m=0, indices=((1,),),
                                         coeffs=(ConstantCoefficient(c),),
                                         coeff_sup=(abs(c),))
         terminal = TerminalCondition(phi=ConstantTerminal(1.0), sup_norm=1.0,

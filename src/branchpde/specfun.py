@@ -87,13 +87,34 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return float(_hyp2f1_vec(a, b, c, np.array([z]))[0])
 
 
+def radial_args(x):
+    """|x|^2 and sum_j x_j of points x (..., d), each summed from the last
+    coordinate to the first.
+
+    This is the one place that sums them: the radial models (ScaledBump,
+    NldSource, GraddSource), ``phi_bump``, ``psi_getoor`` and the
+    expression language's norm2(), phi_bump and psi_getoor all read |x|^2
+    from here, so an inline copy of a catalog model gives its bits.  The
+    engine continues the same sums from cached tails of its displacements
+    in the same order, so both routes agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    r2 = np.zeros(x.shape[:-1])
+    s = np.zeros(x.shape[:-1])
+    for j in range(x.shape[-1] - 1, -1, -1):
+        y = x[..., j]
+        s += y
+        r2 += y * y
+    return r2, s
+
+
 def phi_bump(k: int, alpha: float, x) -> float:
     """Compactly supported bump (1 - |x|^2)_+^(k + a/2).
 
     x may be a single point (d,) or a batch (n, d); returns scalar or (n,).
     """
-    xa = np.asarray(x, dtype=float)
-    val = bump_r2(k, alpha, np.sum(np.atleast_1d(xa) ** 2, axis=-1))
+    r2, _ = radial_args(np.atleast_1d(x))
+    val = bump_r2(k, alpha, r2)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -145,11 +166,12 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
     if d < 1:
         raise DomainError(f"dimension must be positive, got {d}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if xa.shape[-1] != d:
-        raise DomainError(f"point has dimension {xa.shape[-1]}, expected {d}")
+    if xa.shape != (d,):
+        raise DomainError(f"point has shape {xa.shape}, expected ({d},)")
     if not np.all(np.isfinite(xa)):
         raise DomainError(f"psi_getoor requires a finite point, got {xa}")
-    return float(psi_getoor_batch(k, alpha, d, np.array([np.sum(xa ** 2)]))[0])
+    r2, _ = radial_args(xa)
+    return float(psi_getoor_batch(k, alpha, d, np.atleast_1d(r2))[0])
 
 
 # ---------------------------------------------------------------------------

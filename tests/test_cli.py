@@ -248,6 +248,25 @@ class TestCheck:
         assert "refusing to run" in capsys.readouterr().err and not calls
 
 
+    @pytest.mark.parametrize("doc", [
+        {"model": "linear-test", "alpha": 1.5, "T": 700.0},
+        {"model": "nld", "d": 1, "k": 1, "delta": 0.3, "T": 1000.0},
+        {"model": "linear-test", "delta": 0.3, "T": 1e308},
+    ])
+    def test_long_horizon_is_a_report(self, doc, tmp_path):
+        # an overflowed sup or an underflowed survival reads as infinite:
+        # a report and exit 0 or 4, never a traceback or a warning
+        cfg = _write_cfg(tmp_path, "cfg.json", doc)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--config", cfg, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_UNCERTIFIED)
+        report = json.loads(out.read_text())
+        assert (report["verdict"] == "uncertified") == (
+            code == EXIT_UNCERTIFIED)
+
+
 class TestSampleDiag:
     def test_csv_and_summary(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "cfg.json",

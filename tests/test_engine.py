@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchpde import engine
-from branchpde.cli import EXIT_BUDGET, main
+from branchpde.cli import EXIT_BUDGET, main, resolve_model
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
                               EstimatorResult, Grid, TreeBudget, _evaluate,
                               _grow_skeleton, _plan, _values, estimate,
@@ -33,7 +33,7 @@ def _pure_heat_model(d=2, bound=50.0):
     """f = 0 and a clipped-coordinate terminal: u(t, x) ~ x_1 away from the
     clip, du/dx_1 ~ 1, du/dx_2 ~ 0."""
     nonlin = PolynomialNonlinearity(
-        d=d, m=0, indices=((1,),), coeffs=(ConstantCoefficient(0.0),),
+        m=0, indices=((1,),), coeffs=(ConstantCoefficient(0.0),),
         coeff_sup=(0.0,))
     terminal = TerminalCondition(phi=ClippedCoordinate(index=1, bound=bound),
                                  sup_norm=bound, lipschitz=1.0)
@@ -262,6 +262,47 @@ class TestSharedSkeleton:
                            master_seed=4, workers=workers)
             assert (res.generations, res.cms_resamples) == \
                 (max(levels), sum(levels))
+
+
+_NLD_INLINE = {
+    "d": 10, "m": 0, "alpha": 1.5, "indices": [[0], [1], [4]],
+    "coeffs": ["exp(-t) * psi_getoor(1, 1.5) - exp(-4 * t) * "
+               "pospart(1 - norm2()) ^ 7", 1, 1],
+    "coeff_sup": [10.0, 1.0, 1.0],
+    "terminal": {"expr": "0.36787944117144233 * phi_bump(1, 1.5)",
+                 "sup": 0.37}}
+_GRADD_INLINE = {
+    "d": 2, "m": 2, "alpha": 1.5,
+    "indices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1]],
+    "coeffs": ["exp(-t) * psi_getoor(1, 1.5) + 3.5 * exp(-2 * t) * "
+               "pospart(1 - norm2()) ^ 2.5 * (x1 + x2)", 1, 1, 1],
+    "coeff_sup": [10.0, 1.0, 1.0, 1.0],
+    "terminal": {"expr": "0.36787944117144233 * phi_bump(1, 1.5)",
+                 "sup": 0.37}}
+
+
+class TestInlineCopies:
+    """An inline expression copy of a catalog model gives the catalog's
+    mean and stderr bit for bit: norm2(), phi_bump and psi_getoor read
+    |x|^2 from specfun.radial_args, as the catalog's radial models do."""
+
+    @pytest.mark.parametrize("name,d,spec,marks", [
+        ("nld", 10, _NLD_INLINE, (0,)),
+        ("gradd", 2, _GRADD_INLINE, (0, 1, 2)),
+    ])
+    def test_inline_copy_gives_catalog_bits(self, name, d, spec, marks):
+        catalog = builtin_model(name, d=d, alpha=1.5, k=1)
+        inline = resolve_model({"model": spec})
+        # the last nonzero coordinate is the first, then a later one
+        points = [np.eye(d)[0] * 0.3, np.eye(d)[0] * -0.7,
+                  np.linspace(0.4, -0.2, d), np.eye(d)[-1] * 0.5]
+        for x in points:
+            for mark in marks:
+                want = estimate(catalog, 0.5, x, mark, 1.0, 2_000,
+                                master_seed=3)
+                got = estimate(inline, 0.5, x, mark, 1.0, 2_000,
+                               master_seed=3)
+                assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
 
 class TestTreeSizeOracle:
@@ -497,7 +538,7 @@ class TestBudgets:
         # c = 1e300 with two children per death: a tree with two interior
         # particles has a product beyond the float range
         nonlin = PolynomialNonlinearity(
-            d=1, m=0, indices=((2,),), coeffs=(ConstantCoefficient(1e300),),
+            m=0, indices=((2,),), coeffs=(ConstantCoefficient(1e300),),
             coeff_sup=(1e300,))
         terminal = TerminalCondition(phi=ClippedCoordinate(index=1, bound=2.0),
                                      sup_norm=2.0, lipschitz=1.0)
@@ -516,7 +557,7 @@ class TestBudgets:
 
     def test_nan_terminal_is_typed(self):
         nonlin = PolynomialNonlinearity(
-            d=1, m=0, indices=((1,),), coeffs=(ConstantCoefficient(1.0),),
+            m=0, indices=((1,),), coeffs=(ConstantCoefficient(1.0),),
             coeff_sup=(1.0,))
         terminal = TerminalCondition(phi=lambda x: np.full(len(x), math.nan),
                                      sup_norm=1.0, lipschitz=None)

@@ -21,7 +21,7 @@ def _toy_model(c=0.1, phi_sup=0.5, lipschitz=0.0, alpha=2.0, delta=0.5,
                kappa=1.0, indices=((1,),), d=1):
     coeffs = tuple(ConstantCoefficient(c) for _ in indices)
     sups = tuple(abs(c) for _ in indices)
-    nonlin = PolynomialNonlinearity(d=d, m=0, indices=indices, coeffs=coeffs,
+    nonlin = PolynomialNonlinearity(m=0, indices=indices, coeffs=coeffs,
                                     coeff_sup=sups)
     terminal = TerminalCondition(phi=ConstantTerminal(phi_sup),
                                  sup_norm=phi_sup, lipschitz=lipschitz)

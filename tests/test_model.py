@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -16,6 +17,14 @@ from branchpde.model import (BranchingLaw, ClippedCoordinate,
                              TerminalCondition, audit_coeff_sup,
                              builtin_model, uniform_branching)
 from branchpde.specfun import phi_bump, psi_getoor_batch
+
+
+def _model(d, nonlin, phi=ConstantTerminal()):
+    return PdeModel(name="toy", d=d, alpha=1.5, kappa=1.0,
+                    nonlinearity=nonlin,
+                    terminal=TerminalCondition(phi, 1.0, 0.0),
+                    branching=uniform_branching(len(nonlin.indices)),
+                    lifetime=LifetimeDensity(0.5))
 
 
 class TestManufacturedIdentities:
@@ -121,18 +130,37 @@ class TestComponents:
             LifetimeDensity(delta=0.0)
 
     def test_nonlinearity_validation(self):
+        m2 = PolynomialNonlinearity(m=2, indices=((0, 0, 0),),
+                                    coeffs=(ConstantCoefficient(1.0),),
+                                    coeff_sup=(1.0,))
+        assert _model(2, m2).m == 2
         with pytest.raises(DomainError):
-            PolynomialNonlinearity(d=1, m=2, indices=((0, 0, 0),),
+            _model(1, m2)       # m > d
+        with pytest.raises(DomainError):
+            _model(0, dataclasses.replace(m2, m=0, indices=((0,),)))
+        with pytest.raises(DomainError):
+            PolynomialNonlinearity(m=1, indices=((0,),),
                                    coeffs=(ConstantCoefficient(1.0),),
                                    coeff_sup=(1.0,))
         with pytest.raises(DomainError):
-            PolynomialNonlinearity(d=2, m=1, indices=((0,),),
+            PolynomialNonlinearity(m=0, indices=((1,), (2,)),
                                    coeffs=(ConstantCoefficient(1.0),),
                                    coeff_sup=(1.0,))
+
+    @pytest.mark.parametrize("coeff,phi", [
+        (NldSource(k=1, alpha=1.5, d=3), ConstantTerminal()),
+        (GraddSource(k=1, alpha=1.5, d=3), ConstantTerminal()),
+        (ExpressionCoefficient(src="x1", d=3), ConstantTerminal()),
+        (ConstantCoefficient(1.0), ExpressionTerminal(src="x1", d=1)),
+        (ConstantCoefficient(1.0), CosineProduct(d=3)),
+    ])
+    def test_dimension_mismatch_is_refused(self, coeff, phi):
+        # PdeModel.d is the model's one dimension: every part that carries
+        # its own d must agree with it
+        nonlin = PolynomialNonlinearity(m=0, indices=((0,),), coeffs=(coeff,),
+                                        coeff_sup=(1.0,))
         with pytest.raises(DomainError):
-            PolynomialNonlinearity(d=1, m=0, indices=((1,), (2,)),
-                                   coeffs=(ConstantCoefficient(1.0),),
-                                   coeff_sup=(1.0,))
+            _model(2, nonlin, phi)
 
     def test_expression_coefficient(self):
         c = ExpressionCoefficient(src="exp(-t) * x1", d=2)
@@ -188,7 +216,7 @@ class TestCatalog:
 
     def test_audit_flags_violation(self):
         nonlin = PolynomialNonlinearity(
-            d=1, m=0, indices=((1,),), coeffs=(ConstantCoefficient(5.0),),
+            m=0, indices=((1,),), coeffs=(ConstantCoefficient(5.0),),
             coeff_sup=(1.0,))
         model = PdeModel(name="bad", d=1, alpha=1.5, kappa=1.0,
                          nonlinearity=nonlin,
