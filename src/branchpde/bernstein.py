@@ -152,7 +152,6 @@ class IntegrabilityVerdict:
     """Outcome of the tail test for integral of 1/(eta sqrt(lambda))."""
 
     converges: bool
-    integral: float
     fitted_exponent: float
     inconclusive: bool
     lam0: float
@@ -190,9 +189,8 @@ def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> Integrabi
     # fit on the last two decades, where sub-leading terms are negligible
     tail = grid >= 1e7
     slope, inconclusive = fit_decay_exponent(grid[tail], integrand[tail])
-    integral = float(np.trapezoid(integrand * grid, np.log(grid)))
     return IntegrabilityVerdict(converges=slope < -1.0 and not inconclusive,
-                                integral=integral, fitted_exponent=slope,
+                                fitted_exponent=slope,
                                 inconclusive=inconclusive, lam0=lam0)
 
 

@@ -19,25 +19,26 @@ value H is the product of all factors, and u(t,x) = E[H].
 Every draw (lifetimes, offspring, moves, weights, survival and rho factors)
 is independent of the root position x, which enters only by translation.  So
 a batch of trees is grown once, level-synchronously and rooted at the origin,
-into a skeleton stored flat by kind: every leaf, then the interior particles
-of each offspring category.  Each quantity (tree index, displacement,
-weight) is one array with a row per particle, and a kind is a slice of its
-rows; death times are one array with a row per interior particle.  One
-skeleton serves every point of a sweep.
+into a skeleton kept in draw order: level by level, each level's particles
+as they were drawn, so row i is tree i's root.  Each quantity (tree index,
+displacement, weight, death time) is one array with a row per particle, and
+a kind (the leaves, or the interior particles of one offspring category) is
+an index array of its rows.  One skeleton serves every point of a sweep.
 
 A child's mark depends only on its offspring category, so the trees of
 every root mark are the same.  A skeleton is grown with mark-0 roots and
-keeps each root's row and subordinator increment; the plan of mark
-theta >= 1 multiplies each root's weight by W and adds the root leaves to
-the marked leaves.  So one skeleton serves u and every du/dx_i, one mark's
-plan at a time.
+keeps each root's subordinator increment; the plan of mark theta >= 1
+multiplies each root's weight by W and adds the root leaves, the first
+leaves, to the marked leaves.  So one skeleton serves u and every du/dx_i,
+one mark's plan at a time.
 
 Each row stores one weight, W over its survival or q_l rho denominator.
 Once a batch is grown, one plan per mark of a run prepares its evaluation at
 all of the run's points, which then take blocks of at most EVAL_BLOCK_CELLS
 rows x points.  The plan multiplies what does not depend on the point into
-one product per tree: the weight of every row, and the whole factor of every
-category with a constant coefficient.  Each point then multiplies in only
+one product per tree, kind by kind: the weight of every row, and the whole
+factor of every category with a constant coefficient.  It copies out the
+rows of every other kind once.  Each point then multiplies in only
 phi at x + displacement over the leaves and c_l at the interior deaths of
 the other categories.  phi and c_l of the catalog's radial models
 (ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
@@ -78,8 +79,8 @@ from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
 BATCH_TREES = 25_000
-# A grown batch is stored whole, about 8 (d + 3) bytes a particle: 2e6 of
-# them is ~64 MB at d = 1, 33x the largest batch of the fig sweeps.
+# A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
+# them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
 MAX_BATCH_PARTICLES = 2_000_000
 # Float cells of one evaluation temporary: rows x points of a block's
 # values (a fig1b batch, 40k point-dependent rows, takes 4 points a block)
@@ -173,51 +174,31 @@ def _offspring_layout(model: PdeModel):
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """One batch of trees grown without a root position, stored flat by kind.
+    """One batch of trees grown without a root position, in draw order.
 
-    Rows are grouped by kind, the leaves first and then the interior
-    particles of each offspring category in turn: kind k holds the rows
-    ``bounds[k]:bounds[k + 1]`` (k = 0 the leaves, k = 1 + l category l),
-    in generation and draw order within a kind.  ``disp`` is a particle's
-    displacement from the root at death (at T for a leaf).  ``weight`` is
-    its derivative weight W over survival(T - birth) for a leaf, over
-    q_l rho(lifetime) for an interior particle.  ``death`` holds the death
-    times of the interior rows (row r at r - bounds[1]); ``marked_rows`` are
-    the leaves with a nonzero mark and ``marked_birth`` their birth
-    displacements.  Every root carries mark 0, so ``root``, the row of each
-    tree's root, and ``root_ds``, its subordinator increment, are what a
-    root mark changes: a root starts at the origin, so ``disp[root]`` is
-    its move.  Nothing here depends on the root position.
+    Rows run level by level, each level's particles in the order they were
+    drawn, so row i < n_batch is tree i's root.  ``rows[k]`` are the rows of
+    kind k, increasing (k = 0 the leaves, k = 1 + l the interior particles
+    of offspring category l).  ``disp`` is a particle's displacement from
+    the root at death (at T for a leaf), and ``death`` its death time.
+    ``weight`` is its derivative weight W over survival(T - birth) for a
+    leaf, over q_l rho(lifetime) for an interior particle.  ``marked_rows``
+    are the positions among the leaves of those with a nonzero mark, and
+    ``marked_birth`` their birth displacements.  Every root carries mark 0,
+    so its move ``disp[i]`` and ``root_ds``, its subordinator increment, are
+    what a root mark changes.  Nothing here depends on the root position.
     """
 
     tree: np.ndarray          # (N,) tree index
     disp: np.ndarray          # (N, d)
     weight: np.ndarray        # (N,)
-    death: np.ndarray         # (N - bounds[1],)
-    bounds: tuple             # row offset of each kind, and N
-    marked_rows: np.ndarray   # (M,) leaf rows
+    death: np.ndarray         # (N,)
+    rows: tuple               # per kind, its rows
+    marked_rows: np.ndarray   # (M,) positions among the leaves
     marked_birth: np.ndarray  # (M, d)
-    root: np.ndarray          # (n_batch,) row of each tree's root
     root_ds: np.ndarray       # (n_batch,)
     particles: np.ndarray     # (n_batch,) particles per tree
     generations: int          # levels grown
-
-
-def _join(per_kind: list, tail: tuple = (), dtype=float) -> np.ndarray:
-    """The chunks of every kind, kind by kind, as one array allocated at its
-    final size.  The lists are emptied and each chunk is released as soon as
-    it is copied, so a field is never held twice."""
-    chunks = [chunk for kind in per_kind for chunk in kind]
-    for kind in per_kind:
-        kind.clear()
-    out = np.empty((sum(len(c) for c in chunks),) + tail, dtype=dtype)
-    chunks.reverse()
-    start = 0
-    while chunks:
-        chunk = chunks.pop()
-        out[start:start + len(chunk)] = chunk
-        start += len(chunk)
-    return out
 
 
 def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
@@ -227,15 +208,14 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
 
     Every draw is independent of the root position and of the root's mark,
     so one skeleton serves any number of points and every mark.  Each
-    level's particles are filed by kind as they are drawn; once growth
-    stops, each field is joined into one flat array.  Raises
-    BudgetExceededError if a tree outgrows the budget or the batch would
-    store more than MAX_BATCH_PARTICLES particles.
+    level's arrays are kept as they are drawn and joined once growth stops;
+    rows are never reordered.  Raises BudgetExceededError if a tree outgrows
+    the budget or the batch would store more than MAX_BATCH_PARTICLES
+    particles.
     """
     lifetime = model.lifetime
     q_probs = np.asarray(model.branching.probs, dtype=float)
     child_counts, child_marks, mark_offsets = _offspring_layout(model)
-    n_kinds = 1 + child_counts.size
 
     particles = np.ones(n, dtype=np.int64)
 
@@ -244,12 +224,10 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
     marks = np.zeros(n, dtype=np.int64)
     birth = np.full(n, float(t))
     disp = np.zeros((n, model.d))
-    # per field, per kind: one chunk a level
-    fields = {name: [[] for _ in range(n_kinds)]
-              for name in ("tree", "disp", "weight")}
-    deaths = [[] for _ in range(n_kinds - 1)]
-    marked_rows, marked_birth = [], []
-    n_leaves = 0
+    # per field, one array a level
+    levels = {name: [] for name in
+              ("tree", "disp", "weight", "death", "kind", "marked_leaf")}
+    marked_birth = []
     stored = n
 
     gen = 1
@@ -274,37 +252,28 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
             w[marked] = np.divide(dx[marked, marks[marked] - 1], ds_m,
                                   out=np.zeros_like(ds_m), where=ds_m > 0.0)
 
-        leaf_rows = np.flatnonzero(leaf)
-        marked_leaves = np.flatnonzero(marked[leaf_rows])
-        marked_rows.append(n_leaves + marked_leaves)
-        marked_birth.append(disp[leaf_rows[marked_leaves]])
-        n_leaves += leaf_rows.size
+        marked_leaf = marked & leaf
+        marked_birth.append(disp[marked_leaf])
         # move: disp becomes the displacement at death (at T for a leaf),
         # written over dx, which is not read again
         disp = np.add(disp, dx, out=dx)
 
         den = np.empty(tree.size)
+        kind = np.zeros(tree.size, dtype=np.int64)
+        leaf_rows = np.flatnonzero(leaf)
         if leaf_rows.size:
             den[leaf_rows] = lifetime.survival(T - birth[leaf_rows])
-
         int_rows = np.flatnonzero(~leaf)
-        kind_rows = [leaf_rows]
         if int_rows.size:
             cat = sample_offspring(model.branching, rng, size=int_rows.size)
             den[int_rows] = q_probs[cat] * lifetime.rho(tau[int_rows])
-            kind_rows += [int_rows[cat == ci]
-                          for ci in range(child_counts.size)]
+            kind[int_rows] = 1 + cat
         if gen == 1:
-            # the roots, tree i at level row i, open each kind's rows
-            root_kinds, root_ds = kind_rows, ds
+            root_ds = ds
         w /= den
-        for kind, rows in enumerate(kind_rows):
-            if rows.size:
-                for name, field in (("tree", tree), ("disp", disp),
-                                    ("weight", w)):
-                    fields[name][kind].append(field[rows])
-                if kind:
-                    deaths[kind - 1].append(death[rows])
+        for name, field in zip(levels, (tree, disp, w, death, kind,
+                                        marked_leaf)):
+            levels[name].append(field)
 
         # spawn children of interior particles
         if not int_rows.size:
@@ -331,28 +300,26 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
         particles += np.bincount(tree, minlength=n)
         gen += 1
 
-    del disp, dx    # the last level's (rows, d) array
-    sizes = [sum(len(c) for c in kind) for kind in fields["tree"]]
-    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
-    root = np.empty(n, dtype=np.int64)
-    for kind, rows in enumerate(root_kinds):
-        root[rows] = bounds[kind] + np.arange(rows.size)
-    d = (model.d,)
-    return _Skeleton(tree=_join(fields["tree"], dtype=np.int64),
-                     disp=_join(fields["disp"], d),
-                     weight=_join(fields["weight"]), death=_join(deaths),
-                     bounds=bounds,
-                     marked_rows=_join([marked_rows], dtype=np.int64),
-                     marked_birth=_join([marked_birth], d),
-                     root=root, root_ds=root_ds,
-                     particles=particles, generations=gen)
+    del tree, disp, dx    # the last level's, also held in ``levels``
+    # one field at a time, its levels released once joined
+    flat = {name: np.concatenate(levels.pop(name)) for name in list(levels)}
+    kind, marked_leaf = flat.pop("kind"), flat.pop("marked_leaf")
+    rows = tuple(np.flatnonzero(kind == k)
+                 for k in range(1 + child_counts.size))
+    return _Skeleton(**flat, rows=rows,
+                     marked_rows=np.flatnonzero(marked_leaf[rows[0]]),
+                     marked_birth=np.concatenate(marked_birth),
+                     root_ds=root_ds, particles=particles, generations=gen)
 
 
-def _multiply(out: np.ndarray, tree: np.ndarray, factor: np.ndarray):
-    """Multiply each row's ``factor`` into ``out[tree]``, in row order.  A
-    tree with an exactly zero factor is 0, whatever its other factors."""
+def _multiply(out: np.ndarray, tree: np.ndarray, factor: np.ndarray,
+              kinds: tuple = (slice(None),)):
+    """Multiply each row's ``factor`` into ``out[tree]``, the rows of each
+    of ``kinds`` in turn and in row order within a kind.  A tree with an
+    exactly zero factor is 0, whatever its other factors."""
     with np.errstate(over="ignore", invalid="ignore"):  # raised by _evaluate
-        np.multiply.at(out, tree, factor)
+        for rows in kinds:
+            np.multiply.at(out, tree[rows], factor[rows])
     out[tree[factor == 0.0]] = 0.0
     return out
 
@@ -391,7 +358,7 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
     as |disp|^2 and sum_j disp_j over the coordinates above ``top``, summed
     as ``radial_args`` sums them, and the columns 0..top, copied, where
     ``top`` is the last coordinate that is nonzero in some point.  Any other
-    callable reads its rows of the skeleton's displacements.
+    callable reads a copy of its rows of the displacements.
     """
     nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
     top = int(nonzero[-1]) if nonzero.size else 0
@@ -403,32 +370,32 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
         return fn, times, (r2, s, [disp[:, j].copy() for j in range(top + 1)])
 
     phi = model.terminal.phi
+    n = sk.root_ds.size
     factor = sk.weight.copy()
+    leaves = sk.rows[0]
     marked, marked_birth = sk.marked_rows, sk.marked_birth
     if mark:
         ds = sk.root_ds
-        factor[sk.root] *= np.divide(sk.disp[sk.root, mark - 1], ds,
-                                     out=np.zeros_like(ds), where=ds > 0.0)
-        root_leaves = sk.root[sk.root < sk.bounds[1]]
+        factor[:n] *= np.divide(sk.disp[:n, mark - 1], ds,
+                                out=np.zeros_like(ds), where=ds > 0.0)
+        # the root leaves are the first leaves
+        root_leaves = np.arange(np.searchsorted(leaves, n))
         marked = np.concatenate([marked, root_leaves])
         marked_birth = np.concatenate(
             [marked_birth, np.zeros((root_leaves.size, model.d))])
-    kinds, terms = [0], [term(phi, sk.disp[:sk.bounds[1]])]
-    for ci, coeff in enumerate(model.nonlinearity.coeffs):
-        lo, hi = sk.bounds[ci + 1], sk.bounds[ci + 2]
+    kinds, terms = [leaves], [term(phi, sk.disp[leaves])]
+    for coeff, rows in zip(model.nonlinearity.coeffs, sk.rows[1:]):
         if isinstance(coeff, ConstantCoefficient):
-            factor[lo:hi] *= coeff.value
-        elif hi > lo:
-            kinds.append(ci + 1)
-            terms.append(term(coeff, sk.disp[lo:hi],
-                              sk.death[lo - sk.bounds[1]:hi - sk.bounds[1]]))
-    tree = np.concatenate([sk.tree[sk.bounds[k]:sk.bounds[k + 1]]
-                           for k in kinds])
+            factor[rows] *= coeff.value
+        elif rows.size:
+            kinds.append(rows)
+            terms.append(term(coeff, sk.disp[rows], sk.death[rows]))
+    tree = np.concatenate([sk.tree[rows] for rows in kinds])
     births = term(phi, marked_birth) if marked.size else ()
-    rows = tree.size + marked.size
-    return _Plan(base=_multiply(np.ones(sk.particles.size), sk.tree, factor),
+    size = tree.size + marked.size
+    return _Plan(base=_multiply(np.ones(n), sk.tree, factor, sk.rows),
                  tree=tree, terms=tuple(terms), marked=marked,
-                 births=births, block=max(1, EVAL_BLOCK_CELLS // max(rows, 1)))
+                 births=births, block=max(1, EVAL_BLOCK_CELLS // max(size, 1)))
 
 
 def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
@@ -704,4 +671,4 @@ def resolve_workers(requested: int | None) -> int:
             raise DomainError(
                 f"BRANCHPDE_THREADS must be a positive integer, got {env!r}")
         return value
-    return requested if requested else 1
+    return 1 if requested is None else requested

@@ -183,15 +183,19 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
                     paper_literal: bool = False):
     """Route b: (C_tilde, t3b_bound, certified).
 
-    When max |l| <= 1 the tail integral diverges, so the bound is infinite and
-    every T certifies regardless of C_tilde.
+    The orders are those of the terms with a nonzero sup.  When their
+    largest |l| is <= 1, or no term is left (f = 0), the tail integral
+    diverges, so the bound is infinite and every T certifies regardless of
+    C_tilde.
     """
     r = p - 1.0
     c_tilde = _route_constant(model, p, r, T)
 
-    orders = [sum(l) for l in model.nonlinearity.indices]
-    sups = list(model.nonlinearity.coeff_sup)
-    n_max = max(orders)
+    nonlin = model.nonlinearity
+    # (sup, order) of each term with a nonzero sup
+    terms = [(c, sum(l)) for c, l in zip(nonlin.coeff_sup, nonlin.indices)
+             if c]
+    n_max = max((o for _, o in terms), default=0)
     if n_max <= 1:
         return c_tilde, math.inf, True
     if not math.isfinite(c_tilde):
@@ -201,12 +205,12 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
         return c_tilde, 0.0, False
 
     def denom(xv):
-        return sum(c * xv ** o for c, o in zip(sups, orders))
+        return sum(c * xv ** o for c, o in terms)
 
     cut = max(a_lo, 1e6)
     head, _ = _integrate.quad(lambda xv: 1.0 / denom(xv), a_lo, cut,
                               epsrel=1e-10, limit=400)
-    a_top = sum(c for c, o in zip(sups, orders) if o == n_max)
+    a_top = sum(c for c, o in terms if o == n_max)
     tail = cut ** (1.0 - n_max) / (a_top * (n_max - 1.0))
     bound = (head + tail) / c_tilde
     return c_tilde, bound, T < bound

@@ -266,6 +266,20 @@ class TestCheck:
         assert (report["verdict"] == "uncertified") == (
             code == EXIT_UNCERTIFIED)
 
+    def test_zero_coefficient_sups_certify_route_b(self, tmp_path):
+        # every sup is 0, so f = 0: route b's bound is infinite
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": {"d": 1, "alpha": 2, "delta": 0.3, "indices": [[2]],
+                      "coeffs": [0], "coeff_sup": [0],
+                      "terminal": {"expr": "0.5", "sup": 0.5,
+                                   "lipschitz": 0}},
+            "p": 4, "T": 1})
+        out = tmp_path / "report.json"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "certified-b"
+        assert report["t3b_bound"] == math.inf
+
 
 class TestSampleDiag:
     def test_csv_and_summary(self, tmp_path, capsys):
@@ -371,11 +385,13 @@ class TestConfigErrors:
         ("estimate", {**LINEAR_CFG,
                       "model": {**_INLINE, "indices": [[1.5]]}}, []),
         ("estimate", {**LINEAR_CFG, "model": {**_INLINE, "q": ["1"]}}, []),
+        ("estimate", LINEAR_CFG, ["--workers", "0"]),
     ], ids=[f"{command}-seed{seed}"
             for command in ("estimate", "sweep", "sample-diag")
             for seed in ("-1", "2^64")] + [
         "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
-        "n_samples", "inline-index-fraction", "inline-q-string"])
+        "n_samples", "inline-index-fraction", "inline-q-string",
+        "workers-zero"])
     def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
         assert main([command, "--config", cfg] + flags) == EXIT_CONFIG
