@@ -45,8 +45,12 @@ the other categories.  phi and c_l of the catalog's radial models
 sum_j (x + disp)_j, continued from the plan's per-row sums of the
 displacements over the coordinates above the last one that is nonzero in
 any of the run's points, one column at a time below it, in the order of
-``specfun.radial_args``; the others are called at x + disp point by
-point.
+``specfun.radial_args``.  The others are called at x + disp point by
+point, but an inline expression's phi or c_l is first folded, once per
+plan: the part of it that reads only t and the coordinates where every
+point of the run holds the same bits (all of them for one point, x_2..x_d
+for an x_1 sweep) is evaluated once at the plan's rows, and each point
+evaluates only the rest.
 A point's values are the same bits whatever other points share its block
 or its run.  Each block's tree values are reduced into the batch's one
 statistics record, (K G,) arrays over the run's K marks by G points of
@@ -334,9 +338,11 @@ class _Plan:
     and the rows of each category whose coefficient is not constant, kind by
     kind; ``tree`` is their tree index.  ``terms`` holds, per such kind, its
     callable (phi or c_l), the death times of its rows (None for the
-    leaves) and the rows as ``_values`` reads them; ``births`` holds the
-    same for phi at the birth of the ``marked`` leaf rows.  ``block`` is the
-    number of points a call of ``_evaluate`` takes.
+    leaves) and the rows as ``_values`` reads them: for a radial callable
+    its sums and columns, for any other its row blocks, each with the
+    callable to call there, its death times and its displacements.
+    ``births`` holds the same for phi at the birth of the ``marked`` leaf
+    rows.  ``block`` is the number of points a call of ``_evaluate`` takes.
     """
 
     base: np.ndarray
@@ -358,16 +364,34 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
     as |disp|^2 and sum_j disp_j over the coordinates above ``top``, summed
     as ``radial_args`` sums them, and the columns 0..top, copied, where
     ``top`` is the last coordinate that is nonzero in some point.  Any other
-    callable reads a copy of its rows of the displacements.
+    callable reads its rows of the displacements in blocks of at most
+    CALL_BLOCK_CELLS cells, each with its own copy of the callable, folded
+    for the block if it has ``fold``: the part of phi or c_l that reads only
+    t and the coordinates where every point holds the same bits (all of
+    them for one point) is evaluated here, once.
     """
     nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
     top = int(nonzero[-1]) if nonzero.size else 0
+    bits = np.ascontiguousarray(points).view(np.uint64)
+    same = np.all(bits == bits[0], axis=0)
+    step = max(1, CALL_BLOCK_CELLS // model.d)
 
     def term(fn, disp, times=None):
-        if not hasattr(fn, "radial"):
-            return fn, times, disp
-        r2, s = radial_args(disp[:, top + 1:])
-        return fn, times, (r2, s, [disp[:, j].copy() for j in range(top + 1)])
+        if hasattr(fn, "radial"):
+            r2, s = radial_args(disp[:, top + 1:])
+            return fn, times, (r2, s,
+                               [disp[:, j].copy() for j in range(top + 1)])
+        fold = getattr(fn, "fold", None)
+        blocks = []
+        for lo in range(0, len(disp), step):
+            at = disp[lo:lo + step]
+            when = None if times is None else times[lo:lo + step]
+            call = fn
+            if fold is not None:
+                x = points[0] + at
+                call = fold(x, same) if when is None else fold(when, x, same)
+            blocks.append((call, when, at))
+        return fn, times, blocks
 
     phi = model.terminal.phi
     n = sk.root_ds.size
@@ -403,9 +427,9 @@ def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
     (a row of ``points``) and each row of a _Plan term: a (G, rows) array.
 
     A radial ``fn`` gets |x + disp|^2 and sum_j (x + disp)_j, continued
-    from the plan's tails one column at a time, never x + disp itself.  Any
-    other ``fn`` is called at x + disp one point at a time, in row blocks of
-    at most CALL_BLOCK_CELLS cells.
+    from the plan's tails one column at a time, never x + disp itself.  For
+    any other ``fn``, each row block's callable (``fn`` folded for the
+    block, or ``fn``) is called at x + disp one point at a time.
     """
     radial = getattr(fn, "radial", None)
     if radial is not None:
@@ -417,13 +441,13 @@ def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
             y += r2
             r2 = y
         return radial(r2, s) if times is None else radial(times, r2, s)
-    out = np.empty((len(points), len(rows)))
-    step = max(1, CALL_BLOCK_CELLS // points.shape[1])
+    out = np.empty((len(points), sum(len(at) for _, _, at in rows)))
     for x, row_out in zip(points, out):
-        for lo in range(0, len(rows), step):
-            at = x + rows[lo:lo + step]
-            row_out[lo:lo + step] = (fn(at) if times is None
-                                     else fn(times[lo:lo + step], at))
+        lo = 0
+        for call, when, at in rows:
+            row_out[lo:lo + len(at)] = (call(x + at) if when is None
+                                        else call(when, x + at))
+            lo += len(at)
     return out
 
 

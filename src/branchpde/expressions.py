@@ -15,6 +15,9 @@ phi_bump(k, alpha), psi_getoor(k, alpha) (numeric parameters, applied to x);
 indicator_box(lo, hi) (1 if every coordinate of x lies in [lo, hi]).
 
 Evaluation is vectorized: x may be a single point (d,) or a batch (n, d).
+``fold_expression`` evaluates once the part of an expression that reads only
+t and some coordinates, for callers that evaluate it at many points sharing
+those coordinates.
 """
 
 from __future__ import annotations
@@ -67,6 +70,26 @@ class Call:
     args: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class Folded:
+    """A folded sub-expression: its values at the rows it was folded at, or
+    the message of the EvaluationError it raised there."""
+
+    value: object
+    error: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Box:
+    """indicator_box(lo, hi) tested on the 0-based ``columns``, ANDed with
+    ``inside``, the folded test of the other columns."""
+
+    lo: float
+    hi: float
+    columns: tuple
+    inside: np.ndarray
+
+
 _UNARY_FUNCS = ("exp", "cos", "sin", "pospart")
 _PARAM_FUNCS = ("phi_bump", "psi_getoor", "indicator_box")
 _FUNC_ARITY = {**{f: 1 for f in _UNARY_FUNCS}, "norm2": 0,
@@ -96,9 +119,10 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, src: str, d: int):
+    def __init__(self, src: str, d: int, time: bool):
         self.src = src
         self.d = d
+        self.time = time
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -162,6 +186,10 @@ class _Parser:
             return node
         if kind == "name":
             if value == "t":
+                if not self.time:
+                    raise ParseError("t is not allowed here: a terminal "
+                                     "condition is a function of x alone",
+                                     offset, expected=("x<j>",))
                 return VarT()
             m = re.fullmatch(r"x(\d+)", value)
             if m:
@@ -205,11 +233,12 @@ def _const_value(node, name, offset):
                      expected=("number",))
 
 
-def parse_expression(src: str, d: int):
-    """Parse ``src`` into an AST; coordinates are validated against ``d``."""
+def parse_expression(src: str, d: int, time: bool = True):
+    """Parse ``src`` into an AST; coordinates are validated against ``d``,
+    and ``t`` is a ParseError unless ``time``."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
-    return _Parser(src, d).parse()
+    return _Parser(src, d, time).parse()
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +258,69 @@ def eval_expression(ast, t, x):
     if not np.all(np.isfinite(val)):
         raise EvaluationError("expression evaluated to a non-finite value")
     return val.copy() if batch else float(val[0])
+
+
+def fold_expression(ast, t, x, same):
+    """``ast`` with every sub-expression that reads only t and the
+    coordinates flagged in ``same`` (one bool per coordinate) replaced by a
+    Folded node of its values at the rows of x, an (n, d) array.
+
+    Evaluated at t and at rows that hold x's bits in the flagged columns,
+    the folded AST gives the original's bits, or raises the same
+    EvaluationError where the original raises it.  An indicator_box becomes
+    a Box: the folded test of the flagged columns, and the other columns.
+    """
+    pts = np.asarray(x, dtype=float)
+    fixed = frozenset(np.flatnonzero(same).tolist())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _fold(ast, np.asarray(t, dtype=float), pts, fixed)
+
+
+def _columns(node, d):
+    """The 0-based coordinates that ``node`` reads."""
+    if isinstance(node, VarX):
+        return {node.index - 1}
+    if isinstance(node, Neg):
+        return _columns(node.arg, d)
+    if isinstance(node, BinOp):
+        return _columns(node.left, d) | _columns(node.right, d)
+    if isinstance(node, Call):
+        if node.name in _UNARY_FUNCS:
+            return _columns(node.args[0], d)
+        return set(range(d))
+    return set()
+
+
+def _fold(node, t, pts, fixed):
+    if isinstance(node, (Const, VarT, VarX)):
+        return node
+    if _columns(node, pts.shape[1]) <= fixed:
+        try:
+            return Folded(_eval(node, t, pts))
+        except EvaluationError as exc:
+            return Folded(None, str(exc))
+    if isinstance(node, Neg):
+        return Neg(_fold(node.arg, t, pts, fixed))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _fold(node.left, t, pts, fixed),
+                     _fold(node.right, t, pts, fixed))
+    if node.name in _UNARY_FUNCS:
+        return Call(node.name, (_fold(node.args[0], t, pts, fixed),))
+    if node.name == "indicator_box":
+        lo, hi = (a.value for a in node.args)
+        rest = tuple(j for j in range(pts.shape[1]) if j not in fixed)
+        return Box(lo, hi, rest, _inside(lo, hi, pts, sorted(fixed)))
+    return node
+
+
+def _inside(lo, hi, pts, columns, inside=None):
+    """``inside`` ANDed with lo <= x_j <= hi for each j of ``columns``, one
+    column at a time (None for no columns and no ``inside``)."""
+    for j in columns:
+        test = pts[:, j] >= lo
+        test &= pts[:, j] <= hi
+        inside = test if inside is None else inside & test
+    return inside
 
 
 def _eval(node, t, pts):
@@ -260,6 +352,13 @@ def _eval(node, t, pts):
         return lv ** rv
     if isinstance(node, Call):
         return _eval_call(node, t, pts)
+    if isinstance(node, Folded):
+        if node.error is not None:
+            raise EvaluationError(node.error)
+        return node.value
+    if isinstance(node, Box):
+        return _inside(node.lo, node.hi, pts, node.columns,
+                       node.inside).astype(float)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -284,4 +383,4 @@ def _eval_call(node, t, pts):
                                 radial_args(pts)[0])
     # indicator_box
     lo, hi = params
-    return np.all((pts >= lo) & (pts <= hi), axis=1).astype(float)
+    return _inside(lo, hi, pts, range(pts.shape[1])).astype(float)

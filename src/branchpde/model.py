@@ -14,12 +14,13 @@ worker processes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnknownModelError
-from .expressions import eval_expression, parse_expression
+from .expressions import eval_expression, fold_expression, parse_expression
 from .specfun import (_positive_power, bump_r2, gamma_fn, psi_getoor_batch,
                       radial_args, upper_reg_gamma)
 from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bump)
@@ -30,8 +31,20 @@ from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bu
 # A coefficient or terminal that depends on x only through |x|^2 and
 # sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal),
 # which the engine calls instead of building x itself.  Both sums come from
-# ``specfun.radial_args``, whose docstring states their order.
+# ``specfun.radial_args``, whose docstring states their order.  An inline
+# expression callable has ``fold(t, x, same)`` (``fold(x, same)`` for a
+# terminal) instead: a copy of itself that evaluates once, at the rows of x,
+# every part of its expression that reads only t and the coordinates flagged
+# in ``same`` (see ``expressions.fold_expression``).
 # --------------------------------------------------------------------------
+
+
+def _folded(fn, t, x, same):
+    """A copy of expression callable ``fn`` with its AST folded at t and the
+    rows of x."""
+    folded = copy.copy(fn)
+    object.__setattr__(folded, "ast", fold_expression(fn.ast, t, x, same))
+    return folded
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,9 @@ class ExpressionCoefficient:
 
     def __call__(self, t, x):
         return np.atleast_1d(eval_expression(self.ast, t, x))
+
+    def fold(self, t, x, same):
+        return _folded(self, t, x, same)
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,10 @@ class CosineProduct:
 
     def __call__(self, x):
         xa = np.asarray(x)
-        inside = np.all(np.abs(xa) <= np.pi / 2.0, axis=-1)
+        # one column at a time, as the expression language's indicator_box
+        inside = np.abs(xa[..., 0]) <= np.pi / 2.0
+        for j in range(1, xa.shape[-1]):
+            inside &= np.abs(xa[..., j]) <= np.pi / 2.0
         return np.prod(np.cos(xa), axis=-1) * inside
 
 
@@ -158,15 +177,21 @@ class ClippedCoordinate:
 
 @dataclass(frozen=True)
 class ExpressionTerminal:
+    """phi(x) from an expression in x alone: ``t`` is a ParseError."""
+
     src: str
     d: int
     ast: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ast", parse_expression(self.src, self.d))
+        object.__setattr__(self, "ast",
+                           parse_expression(self.src, self.d, time=False))
 
     def __call__(self, x):
         return np.atleast_1d(eval_expression(self.ast, 0.0, np.atleast_2d(x)))
+
+    def fold(self, x, same):
+        return _folded(self, 0.0, x, same)
 
 
 # --------------------------------------------------------------------------

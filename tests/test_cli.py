@@ -385,13 +385,17 @@ class TestConfigErrors:
         ("estimate", {**LINEAR_CFG,
                       "model": {**_INLINE, "indices": [[1.5]]}}, []),
         ("estimate", {**LINEAR_CFG, "model": {**_INLINE, "q": ["1"]}}, []),
+        # phi is a function of x alone
+        ("estimate", {**LINEAR_CFG, "model": {
+            **_INLINE, "coeffs": [0.0],
+            "terminal": {"expr": "1 + t", "sup": 2.0}}}, []),
         ("estimate", LINEAR_CFG, ["--workers", "0"]),
     ], ids=[f"{command}-seed{seed}"
             for command in ("estimate", "sweep", "sample-diag")
             for seed in ("-1", "2^64")] + [
         "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
         "n_samples", "inline-index-fraction", "inline-q-string",
-        "workers-zero"])
+        "inline-terminal-t", "workers-zero"])
     def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
         assert main([command, "--config", cfg] + flags) == EXIT_CONFIG

@@ -280,10 +280,24 @@ _GRADD_INLINE = {
                  "sup": 0.37}}
 
 
+def _burgers_inline(d):
+    """Catalog burgers-cosine (fig3b's model) at dimension ``d``, written
+    as an inline model."""
+    half = repr(math.pi / 2.0)
+    cosines = "*".join(f"cos(x{j})" for j in range(1, d + 1))
+    return {"d": d, "m": d, "alpha": 1.5,
+            "indices": [[1] + [int(j == i) for j in range(d)]
+                        for i in range(d)],
+            "coeffs": [-1] * d, "coeff_sup": [1] * d,
+            "terminal": {"expr": f"{cosines}*indicator_box(-{half}, {half})",
+                         "sup": 1.0}}
+
+
 class TestInlineCopies:
     """An inline expression copy of a catalog model gives the catalog's
     mean and stderr bit for bit: norm2(), phi_bump and psi_getoor read
-    |x|^2 from specfun.radial_args, as the catalog's radial models do."""
+    |x|^2 from specfun.radial_args, as the catalog's radial models do, and
+    folding an expression for a run keeps its bits."""
 
     @pytest.mark.parametrize("name,d,spec,marks", [
         ("nld", 10, _NLD_INLINE, (0,)),
@@ -302,6 +316,23 @@ class TestInlineCopies:
                 got = estimate(inline, 0.5, x, mark, 1.0, 2_000,
                                master_seed=3)
                 assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_inline_burgers_sweep_gives_catalog_bits(self, d):
+        """An x1 sweep with fixed nonzero later coordinates folds them out
+        of the inline terminal."""
+        catalog = builtin_model("burgers-cosine", d=d, alpha=1.5)
+        inline = resolve_model({"model": _burgers_inline(d)})
+        points = np.tile(np.linspace(-0.2, 0.4, d), (9, 1))
+        points[:, 0] = np.linspace(-2.0, 2.0, len(points))
+        for mark in range(d + 1):
+            want, got = Grid(points), Grid(points)
+            for x in points:
+                a = estimate(catalog, 0.5, x, mark, 1.0, 2_000,
+                             master_seed=3, grid=want)
+                b = estimate(inline, 0.5, x, mark, 1.0, 2_000,
+                             master_seed=3, grid=got)
+                assert (b.mean, b.stderr) == (a.mean, a.stderr)
 
 
 class TestTreeSizeOracle:
@@ -335,6 +366,8 @@ class TestTreeSizeOracle:
 
 @functools.lru_cache(maxsize=None)
 def _catalog(name, d=2):
+    if name == "burgers-inline":
+        return resolve_model({"model": _burgers_inline(d)})
     kwargs = {} if name == "burgers-cosine" else {"k": 1}
     return builtin_model(name, d=d, alpha=1.5, **kwargs)
 
@@ -425,7 +458,8 @@ class TestFlatSkeleton:
                 assert error <= 2 * (size + 1) * Fraction(2) ** -53 * abs(exact)
 
     @settings(max_examples=30, deadline=None)
-    @given(name=st.sampled_from(["nld", "gradd", "burgers-cosine"]),
+    @given(name=st.sampled_from(["nld", "gradd", "burgers-cosine",
+                                 "burgers-inline"]),
            d=st.sampled_from([1, 2, 10]), mark=st.integers(0, 2),
            horizon=st.floats(0.05, 0.6), n=st.integers(1, 30),
            seed=st.integers(0, 2 ** 16), data=st.data())
@@ -433,7 +467,8 @@ class TestFlatSkeleton:
                                           seed, data):
         """A block's columns, planned for all of its points, are its points'
         one-point evaluations, each planned for that point alone, bit for
-        bit; and the radial path is phi and c_l called at x + disp."""
+        bit; and every term, radial, folded or called as it is, gives phi
+        and c_l called at x + disp."""
         model = _catalog(name, d)
         mark = min(mark, d)
         coordinate = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
@@ -469,8 +504,6 @@ class TestFlatSkeleton:
                               np.concatenate([sk.marked_rows, root_leaves]))
         assert len(terms) == len(kinds)
         for (fn, times, rows), disp in zip(terms, kinds):
-            if not hasattr(fn, "radial") or not len(disp):
-                continue
             got = _values(fn, times, rows, points)
             want = np.array([fn(x + disp) if times is None
                              else fn(times, x + disp) for x in points])

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from branchpde.errors import (DimensionError, EvaluationError, ParseError,
                               UnknownIdentifierError)
-from branchpde.expressions import (BinOp, Call, Const, Neg, VarT, VarX,
-                                   eval_expression, parse_expression)
+from branchpde.expressions import (BinOp, Box, Call, Const, Folded, Neg, VarT,
+                                   VarX, eval_expression, fold_expression,
+                                   parse_expression)
+from branchpde.model import ExpressionTerminal
 from branchpde.specfun import phi_bump, psi_getoor
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -36,6 +38,48 @@ def to_source(node, _prec=0) -> str:
     rs = to_source(node.right, p + 1 if node.op != "^" else p)
     s = f"{ls} {node.op} {rs}"
     return f"({s})" if _prec > p else s
+
+
+# random ASTs in t, x1 and x2, leaves including the calls that read all of x
+_BOX = st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)).map(
+    lambda p: Call("indicator_box", (Const(p[0]), Const(p[0] + p[1]))))
+_ASTS = st.recursive(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        st.just("t"), st.just("x1"), st.just("x2"),
+    ).map(lambda v: Const(float(v)) if isinstance(v, float)
+          else (VarT() if v == "t" else VarX(int(v[1:]))))
+    | _BOX | st.just(Call("norm2", ())),
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.tuples(st.sampled_from("+-*/^"), kids, kids)
+          .map(lambda t: BinOp(*t)),
+        st.tuples(st.sampled_from(["exp", "cos", "sin", "pospart"]), kids)
+          .map(lambda t: Call(t[0], (t[1],))),
+    ),
+    max_leaves=25,
+)
+
+
+def _nodes(node):
+    """Every node of an AST, folded or not."""
+    yield node
+    if isinstance(node, Neg):
+        yield from _nodes(node.arg)
+    elif isinstance(node, BinOp):
+        yield from _nodes(node.left)
+        yield from _nodes(node.right)
+    elif isinstance(node, Call):
+        for arg in node.args:
+            yield from _nodes(arg)
+
+
+def _outcome(ast, t, x):
+    """The bytes of ast at (t, x), or the message of its EvaluationError."""
+    try:
+        return eval_expression(ast, t, x).tobytes()
+    except EvaluationError as exc:
+        return str(exc)
 
 
 class TestParse:
@@ -115,6 +159,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_expression("phi_bump(t, 1.5)", 1)
 
+    def test_terminal_refuses_t(self):
+        """A terminal condition is a function of x alone."""
+        with pytest.raises(ParseError) as info:
+            ExpressionTerminal("cos(x1) + t", 1)
+        assert info.value.offset == 10
+        assert ExpressionTerminal("cos(x1)", 1)(np.zeros(1)) == 1.0
+
 
 class TestRoundTrip:
     CASES = [
@@ -135,21 +186,7 @@ class TestRoundTrip:
         ast = parse_expression(src, 2)
         assert parse_expression(to_source(ast), 2) == ast
 
-    @given(st.recursive(
-        st.one_of(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            st.just("t"), st.just("x1"), st.just("x2"),
-        ).map(lambda v: Const(float(v)) if isinstance(v, float)
-              else (VarT() if v == "t" else VarX(int(v[1:])))),
-        lambda kids: st.one_of(
-            kids.map(Neg),
-            st.tuples(st.sampled_from("+-*/^"), kids, kids)
-              .map(lambda t: BinOp(*t)),
-            st.tuples(st.sampled_from(["exp", "cos", "sin", "pospart"]), kids)
-              .map(lambda t: Call(t[0], (t[1],))),
-        ),
-        max_leaves=25,
-    ))
+    @given(_ASTS)
     @settings(max_examples=200, deadline=None)
     def test_random_ast_round_trip(self, ast):
         assert parse_expression(to_source(ast), 2) == ast
@@ -212,3 +249,52 @@ class TestEval:
             "exp(-t) * cos(x1) + sin(x2) * pospart(1 - norm2())", 2)
         val = eval_expression(ast, t, np.array([x1, x2]))
         assert math.isfinite(val)
+
+
+class TestFold:
+    @given(ast=_ASTS, same=st.tuples(st.booleans(), st.booleans()),
+           n=st.integers(1, 6), scalar_t=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_gives_the_original_bits(self, ast, same, n, scalar_t,
+                                          data):
+        """Folded at x, an AST evaluates at any rows that hold x's bits in
+        the flagged columns to the original's bits, or raises its error."""
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                          st.floats(-3.0, 3.0))
+        rows = st.lists(st.lists(value, min_size=2, max_size=2),
+                        min_size=n, max_size=n).map(np.array)
+        x = data.draw(rows, label="x")
+        t = (data.draw(value, label="t") if scalar_t
+             else data.draw(rows, label="t")[:, 0])
+        folded = fold_expression(ast, t, x, same)
+        for y in (x, data.draw(rows, label="y")):
+            y = np.where(same, x, y)
+            assert _outcome(folded, t, y) == _outcome(ast, t, y)
+
+    def test_burgers_terminal_keeps_one_cos(self):
+        """Folding x2 out of the fig3b terminal leaves cos(x1) and the x1
+        half of the box."""
+        ast = parse_expression(
+            "cos(x1)*cos(x2)*indicator_box(-1.5707963267948966, "
+            "1.5707963267948966)", 2)
+        x = np.array([[-3.0, 0.2], [0.5, -1.6], [1.0, 1.0]])
+        folded = fold_expression(ast, 0.0, x, (False, True))
+        nodes = list(_nodes(folded))
+        assert [n.args[0] for n in nodes
+                if isinstance(n, Call)] == [VarX(1)]
+        assert sum(isinstance(n, Folded) for n in nodes) == 1
+        (box,) = (n for n in nodes if isinstance(n, Box))
+        assert box.columns == (0,)
+        np.testing.assert_array_equal(box.inside, [True, False, True])
+        y = np.column_stack([[1.0, 0.0, -2.0], x[:, 1]])
+        assert (eval_expression(folded, 0.0, y).tobytes()
+                == eval_expression(ast, 0.0, y).tobytes())
+
+    def test_single_point_folds_everything(self):
+        ast = parse_expression("exp(-t) * x1 / x2", 2)
+        x = np.array([[0.3, 2.0]])
+        assert isinstance(fold_expression(ast, 0.5, x, (True, True)), Folded)
+        with pytest.raises(EvaluationError, match="division by zero"):
+            eval_expression(
+                fold_expression(ast, 0.5, np.zeros((1, 2)), (True, True)),
+                0.5, np.zeros((1, 2)))
