@@ -44,6 +44,11 @@ EXIT_CONFIG = 3
 EXIT_UNCERTIFIED = 4
 EXIT_OVERFLOW = 5
 
+# A sweep holds its grid points x d coordinates and one result record per
+# point, about 1 KB: 1e5 of them is ~90 MB at d = 1, 164x the largest fig
+# sweep (61 points at d = 10).
+MAX_GRID_CELLS = 100_000
+
 
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain text otherwise."""
@@ -278,7 +283,7 @@ def cmd_estimate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec) -> np.ndarray:
+def _parse_grid(spec, d: int) -> np.ndarray:
     try:
         lo, hi, steps = str(spec).split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -286,6 +291,9 @@ def _parse_grid(spec) -> np.ndarray:
         raise ConfigError(f"grid must be lo:hi:steps, got {spec!r}") from exc
     if steps < 1 or hi < lo:
         raise ConfigError(f"invalid grid {spec!r}")
+    if steps * d > MAX_GRID_CELLS:
+        raise ConfigError(f"grid {spec!r} of {steps} points at d = {d} "
+                          f"exceeds {MAX_GRID_CELLS} points x d")
     return np.linspace(lo, hi, steps)
 
 
@@ -294,7 +302,7 @@ def cmd_sweep(cfg: dict) -> int:
     if run is None:
         return EXIT_UNCERTIFIED
     model, t, x, args, kwargs = run
-    x1s = _parse_grid(cfg.get("grid", "-1.5:1.5:61"))
+    x1s = _parse_grid(cfg.get("grid", "-1.5:1.5:61"), model.d)
     points = np.tile(x, (x1s.size, 1))
     points[:, 0] = x1s
     grid = Grid(points)

@@ -34,29 +34,26 @@ one mark's plan at a time.
 
 Each row stores one weight, W over its survival or q_l rho denominator.
 Once a batch is grown, one plan per mark of a run prepares its evaluation at
-all of the run's points, which then take blocks of at most EVAL_BLOCK_CELLS
-rows x points.  The plan multiplies what does not depend on the point into
-one product per tree, kind by kind: the weight of every row, and the whole
-factor of every category with a constant coefficient.  It copies out the
-rows of every other kind once.  Each point then multiplies in only
-phi at x + displacement over the leaves and c_l at the interior deaths of
-the other categories.  phi and c_l of the catalog's radial models
-(ScaledBump, NldSource, GraddSource) read |x + disp|^2 and
-sum_j (x + disp)_j, continued from the plan's per-row sums of the
-displacements over the coordinates above the last one that is nonzero in
-any of the run's points, one column at a time below it, in the order of
-``specfun.radial_args``.  The others are called at x + disp point by
-point, but an inline expression's phi or c_l is first folded, once per
-plan: the part of it that reads only t and the coordinates where every
-point of the run holds the same bits (all of them for one point, x_2..x_d
-for an x_1 sweep) is evaluated once at the plan's rows, and each point
-evaluates only the rest.
-A point's values are the same bits whatever other points share its block
-or its run.  Each block's tree values are reduced into the batch's one
-statistics record, (K G,) arrays over the run's K marks by G points of
-the means, squared deviations and zero counts, and the records are merged
-in batch order.  Randomness is drawn from one stream per fixed-size batch,
-whatever the marks, so estimates are bit-identical for any worker count.
+all of the run's points.  The plan multiplies what does not depend on the
+point into one product per tree, kind by kind: the weight of every row, and
+the whole factor of every category with a constant coefficient.  What is
+left is phi at x + displacement over the leaves and c_l at the interior
+deaths of the other categories, one term per kind, and each term is one
+call per block of points.  Every point of a run holds the same bits from
+coordinate ``lead`` on (all of them for one point, x_2..x_d for an x_1
+sweep), so the plan does the work of those coordinates once: a radial phi
+or c_l (ScaledBump, NldSource, GraddSource) keeps its rows' sums
+|x + disp|^2 and sum_j (x + disp)_j over them, which ``specfun.radial_args``
+continues over the first ``lead``, and an inline expression is folded at
+them.  Either then reads only the first ``lead`` columns; any other phi or
+c_l is called on the (points x rows, d) rows of x + disp.  A block holds at
+most EVAL_BLOCK_CELLS points x rows x columns read.  A point's values are
+the same bits whatever other points share its block or its run.  Each
+block's tree values are reduced into the batch's one statistics record,
+(K G,) arrays over the run's K marks by G points of the means, squared
+deviations and zero counts, and the records are merged in batch order.
+Randomness is drawn from one stream per fixed-size batch, whatever the
+marks, so estimates are bit-identical for any worker count.
 
 There is one run path.  ``estimate`` (one point, one mark), its ``Grid``
 lookup (every point of the grid, one mark) and ``estimate_gradient_all``
@@ -86,12 +83,11 @@ BATCH_TREES = 25_000
 # A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
 # them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
 MAX_BATCH_PARTICLES = 2_000_000
-# Float cells of one evaluation temporary: rows x points of a block's
-# values (a fig1b batch, 40k point-dependent rows, takes 4 points a block)
+# Float cells of x + disp in one block's calls of phi and c_l, points x
+# rows x the columns each reads (at least 1); their other temporaries, one
+# per operation of an inline expression, are points x rows.  A fig1b sweep,
+# 40k point-dependent rows reading x_1 alone, takes 4 points a block.
 EVAL_BLOCK_CELLS = 160_000
-# Float cells of x + disp in one generic phi or c_l call, whose other
-# temporaries (one per operation of an inline expression) are as many rows
-CALL_BLOCK_CELLS = 20_000
 
 
 @dataclass(frozen=True)
@@ -316,15 +312,16 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
                      root_ds=root_ds, particles=particles, generations=gen)
 
 
-def _multiply(out: np.ndarray, tree: np.ndarray, factor: np.ndarray,
-              kinds: tuple = (slice(None),)):
-    """Multiply each row's ``factor`` into ``out[tree]``, the rows of each
-    of ``kinds`` in turn and in row order within a kind.  A tree with an
-    exactly zero factor is 0, whatever its other factors."""
+def _multiply(out: np.ndarray, pairs) -> np.ndarray:
+    """Multiply the factors of each (index, factor) pair into
+    ``out[index]``, the pairs in turn and each in its order.  An entry with
+    an exactly zero factor is 0, whatever its other factors."""
+    zeros = []
     with np.errstate(over="ignore", invalid="ignore"):  # raised by _evaluate
-        for rows in kinds:
-            np.multiply.at(out, tree[rows], factor[rows])
-    out[tree[factor == 0.0]] = 0.0
+        for index, factor in pairs:
+            np.multiply.at(out, index, factor)
+            zeros.append(index[factor == 0.0])
+    out[np.concatenate(zeros)] = 0.0
     return out
 
 
@@ -334,19 +331,22 @@ class _Plan:
 
     ``base`` is, per tree, the product of the point-independent factors:
     the weight of every row and the whole factor of every category with a
-    constant coefficient.  The point-dependent rows are the leaves
-    and the rows of each category whose coefficient is not constant, kind by
-    kind; ``tree`` is their tree index.  ``terms`` holds, per such kind, its
-    callable (phi or c_l), the death times of its rows (None for the
-    leaves) and the rows as ``_values`` reads them: for a radial callable
-    its sums and columns, for any other its row blocks, each with the
-    callable to call there, its death times and its displacements.
-    ``births`` holds the same for phi at the birth of the ``marked`` leaf
-    rows.  ``block`` is the number of points a call of ``_evaluate`` takes.
+    constant coefficient.  The point-dependent rows are the leaves and the
+    rows of each category whose coefficient is not constant; per such kind,
+    ``trees`` holds their tree index and ``terms`` one term, and ``births``
+    holds one for phi at the birth of the ``marked`` leaf rows.  A term is
+    (call, times, disp, sums), which ``_values`` calls once per block of
+    points.  ``times`` is () for phi and (death times,) for c_l, and
+    ``disp`` the columns of the rows' displacements that ``call`` reads.
+    ``call`` is a radial phi or c_l's ``radial`` method, with ``sums`` its
+    rows' |x + disp|^2 and sum_j (x + disp)_j over the other columns; an
+    expression folded for the plan, with sums (); or any other phi or c_l,
+    with sums None.  ``block`` is the number of points a call of
+    ``_evaluate`` takes.
     """
 
     base: np.ndarray
-    tree: np.ndarray
+    trees: tuple
     terms: tuple
     marked: np.ndarray
     births: tuple
@@ -360,38 +360,28 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
 
     A root of mark theta >= 1 multiplies its weight by W = dx_theta / ds
     (0 where ds = 0), and a root leaf subtracts phi at its birth, the
-    origin, like the other marked leaves.  A radial callable reads its rows
-    as |disp|^2 and sum_j disp_j over the coordinates above ``top``, summed
-    as ``radial_args`` sums them, and the columns 0..top, copied, where
-    ``top`` is the last coordinate that is nonzero in some point.  Any other
-    callable reads its rows of the displacements in blocks of at most
-    CALL_BLOCK_CELLS cells, each with its own copy of the callable, folded
-    for the block if it has ``fold``: the part of phi or c_l that reads only
-    t and the coordinates where every point holds the same bits (all of
-    them for one point) is evaluated here, once.
+    origin, like the other marked leaves.  ``lead`` is 1 + the last
+    coordinate in which the points' bits differ, 0 for one point, so every
+    point holds x0 = points[0] from ``lead`` on.  A radial callable keeps
+    its rows' |x0 + disp|^2 and sum_j (x0 + disp)_j over those coordinates,
+    summed by ``radial_args``, and an expression with ``fold`` is folded at
+    them; either reads only the first ``lead`` columns.  Any other callable
+    reads all of them.
     """
-    nonzero = np.flatnonzero(np.any(points != 0.0, axis=0))
-    top = int(nonzero[-1]) if nonzero.size else 0
     bits = np.ascontiguousarray(points).view(np.uint64)
-    same = np.all(bits == bits[0], axis=0)
-    step = max(1, CALL_BLOCK_CELLS // model.d)
+    varies = np.flatnonzero(np.any(bits != bits[0], axis=0))
+    lead = int(varies[-1]) + 1 if varies.size else 0
 
-    def term(fn, disp, times=None):
+    def term(fn, disp, rows, *times):
+        # fn's term at ``rows`` of ``disp``, an index array: each
+        # disp[rows, ...] below is a new array
+        if not (hasattr(fn, "radial") or hasattr(fn, "fold")):
+            return fn, times, disp[rows], None
+        tail = disp[rows, lead:]
+        tail += points[0, lead:]
         if hasattr(fn, "radial"):
-            r2, s = radial_args(disp[:, top + 1:])
-            return fn, times, (r2, s,
-                               [disp[:, j].copy() for j in range(top + 1)])
-        fold = getattr(fn, "fold", None)
-        blocks = []
-        for lo in range(0, len(disp), step):
-            at = disp[lo:lo + step]
-            when = None if times is None else times[lo:lo + step]
-            call = fn
-            if fold is not None:
-                x = points[0] + at
-                call = fold(x, same) if when is None else fold(when, x, same)
-            blocks.append((call, when, at))
-        return fn, times, blocks
+            return fn.radial, times, disp[rows, :lead], radial_args(tail)
+        return fn.fold(*times, tail, lead), times, disp[rows, :lead], ()
 
     phi = model.terminal.phi
     n = sk.root_ds.size
@@ -407,48 +397,43 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
         marked = np.concatenate([marked, root_leaves])
         marked_birth = np.concatenate(
             [marked_birth, np.zeros((root_leaves.size, model.d))])
-    kinds, terms = [leaves], [term(phi, sk.disp[leaves])]
+    trees, terms = [sk.tree[leaves]], [term(phi, sk.disp, leaves)]
     for coeff, rows in zip(model.nonlinearity.coeffs, sk.rows[1:]):
         if isinstance(coeff, ConstantCoefficient):
             factor[rows] *= coeff.value
         elif rows.size:
-            kinds.append(rows)
-            terms.append(term(coeff, sk.disp[rows], sk.death[rows]))
-    tree = np.concatenate([sk.tree[rows] for rows in kinds])
-    births = term(phi, marked_birth) if marked.size else ()
-    size = tree.size + marked.size
-    return _Plan(base=_multiply(np.ones(n), sk.tree, factor, sk.rows),
-                 tree=tree, terms=tuple(terms), marked=marked,
-                 births=births, block=max(1, EVAL_BLOCK_CELLS // max(size, 1)))
+            trees.append(sk.tree[rows])
+            terms.append(term(coeff, sk.disp, rows, sk.death[rows]))
+    births = (term(phi, marked_birth, np.arange(marked.size))
+              if marked.size else ())
+    # each call's rows times the columns it reads, at least 1
+    cells = sum(max(disp.size, len(disp))
+                for _, _, disp, _ in terms + ([births] if births else []))
+    base = _multiply(np.ones(n), ((sk.tree[rows], factor[rows])
+                                  for rows in sk.rows))
+    return _Plan(base=base, trees=tuple(trees), terms=tuple(terms),
+                 marked=marked, births=births,
+                 block=max(1, EVAL_BLOCK_CELLS // max(cells, 1)))
 
 
-def _values(fn, times, rows, points: np.ndarray) -> np.ndarray:
-    """``fn`` (phi, or c_l at death ``times``) at x + disp for each point x
-    (a row of ``points``) and each row of a _Plan term: a (G, rows) array.
+def _values(term, points: np.ndarray) -> np.ndarray:
+    """A _Plan term at x + disp for each point x (a row of ``points``) and
+    each of its rows: a (G, rows) array, from one call.
 
-    A radial ``fn`` gets |x + disp|^2 and sum_j (x + disp)_j, continued
-    from the plan's tails one column at a time, never x + disp itself.  For
-    any other ``fn``, each row block's callable (``fn`` folded for the
-    block, or ``fn``) is called at x + disp one point at a time.
+    A radial callable gets the term's sums continued over the columns of
+    x + disp that it reads, a folded expression those columns, (G, rows,
+    lead), and any other callable the (G rows, d) rows of x + disp, its
+    death times repeated for each point.
     """
-    radial = getattr(fn, "radial", None)
-    if radial is not None:
-        r2, s, columns = rows
-        for j in range(len(columns) - 1, -1, -1):
-            y = columns[j] + points[:, j, None]
-            s = s + y
-            y *= y
-            y += r2
-            r2 = y
-        return radial(r2, s) if times is None else radial(times, r2, s)
-    out = np.empty((len(points), sum(len(at) for _, _, at in rows)))
-    for x, row_out in zip(points, out):
-        lo = 0
-        for call, when, at in rows:
-            row_out[lo:lo + len(at)] = (call(x + at) if when is None
-                                        else call(when, x + at))
-            lo += len(at)
-    return out
+    call, times, disp, sums = term
+    x = points[:, None, :disp.shape[1]] + disp
+    if sums is None:
+        t = (np.tile(death, len(points)) for death in times)
+        return np.asarray(call(*t, x.reshape(-1, x.shape[-1])),
+                          dtype=float).reshape(x.shape[:-1])
+    args = radial_args(x, *sums) if sums else (x,)
+    del x    # a radial callable reads only its sums
+    return call(*times, *args)
 
 
 def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
@@ -466,15 +451,15 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     # one (G, rows) array of factors per point-dependent kind
-    parts = [_values(*term, points) for term in plan.terms]
+    parts = [_values(term, points) for term in plan.terms]
     if plan.marked.size:
-        births = _values(*plan.births, points)
-        for leaves, birth in zip(parts[0], births):
-            leaves[plan.marked] -= birth
+        parts[0][:, plan.marked] -= _values(plan.births, points)
 
     h = np.tile(plan.base, (len(points), 1))
-    for g, out in enumerate(h):
-        _multiply(out, plan.tree, np.concatenate([part[g] for part in parts]))
+    # point g's products are row g of h: tree i at g n + i of its flat view
+    offsets = plan.base.size * np.arange(len(points))[:, None]
+    _multiply(h.reshape(-1), (((tree + offsets).ravel(), part.ravel())
+                              for tree, part in zip(plan.trees, parts)))
     h[:, plan.base == 0.0] = 0.0
     if not np.all(np.isfinite(h)):
         raise ProductOverflowError(

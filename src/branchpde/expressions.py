@@ -14,10 +14,10 @@ Functions: exp, cos, sin, pospart (one argument); norm2() (squared norm of x);
 phi_bump(k, alpha), psi_getoor(k, alpha) (numeric parameters, applied to x);
 indicator_box(lo, hi) (1 if every coordinate of x lies in [lo, hi]).
 
-Evaluation is vectorized: x may be a single point (d,) or a batch (n, d).
+Evaluation is vectorized: x may be a single point (d,) or a batch (..., n, d).
 ``fold_expression`` evaluates once the part of an expression that reads only
-t and some coordinates, for callers that evaluate it at many points sharing
-those coordinates.
+t and the coordinates from some index on, for callers that evaluate it at
+many points sharing those coordinates.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import (DimensionError, EvaluationError, ParseError,
                      UnknownIdentifierError)
-from .specfun import phi_bump as _phi_bump
-from .specfun import psi_getoor_batch, radial_args
+from .specfun import bump_r2, psi_getoor_batch, radial_args
 
 # --------------------------------------------------------------------------
 # AST
@@ -88,6 +87,16 @@ class Box:
     hi: float
     columns: tuple
     inside: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Radial:
+    """norm2(), phi_bump or psi_getoor (``call``) in dimension ``d``, its
+    |x|^2 continued from ``r2``, the folded sum over the later coordinates."""
+
+    call: Call
+    r2: np.ndarray
+    d: int
 
 
 _UNARY_FUNCS = ("exp", "cos", "sin", "pospart")
@@ -248,77 +257,72 @@ def parse_expression(src: str, d: int, time: bool = True):
 
 def eval_expression(ast, t, x):
     """Evaluate at time t and point(s) x: x of shape (d,) gives a scalar,
-    (n, d) gives an (n,) array.  t may be scalar or shape (n,)."""
+    (..., n, d) gives an (..., n) array.  t is a scalar or broadcasts
+    against that array."""
     xa = np.asarray(x, dtype=float)
-    batch = xa.ndim == 2
-    pts = xa if batch else xa[None, :]
+    pts = xa if xa.ndim > 1 else xa[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val = _eval(ast, np.asarray(t, dtype=float), pts)
-    val = np.broadcast_to(val, (pts.shape[0],))
+    val = np.broadcast_to(val, pts.shape[:-1])
     if not np.all(np.isfinite(val)):
         raise EvaluationError("expression evaluated to a non-finite value")
-    return val.copy() if batch else float(val[0])
+    return val.copy() if xa.ndim > 1 else float(val[0])
 
 
-def fold_expression(ast, t, x, same):
-    """``ast`` with every sub-expression that reads only t and the
-    coordinates flagged in ``same`` (one bool per coordinate) replaced by a
-    Folded node of its values at the rows of x, an (n, d) array.
+def fold_expression(ast, t, x, lead):
+    """``ast`` folded at t and the rows of x, the (n, d - lead) coordinates
+    from ``lead`` on: every sub-expression that reads only t and those
+    becomes a Folded node of its values there.  A call that reads every
+    coordinate keeps what it reads of them: indicator_box a Box, their
+    test, and norm2(), phi_bump and psi_getoor a Radial, their |x|^2.
 
-    Evaluated at t and at rows that hold x's bits in the flagged columns,
-    the folded AST gives the original's bits, or raises the same
-    EvaluationError where the original raises it.  An indicator_box becomes
-    a Box: the folded test of the flagged columns, and the other columns.
+    Evaluated at t and at points (..., n, lead), the first coordinates, the
+    folded AST gives the original's bits at those points joined to the rows
+    of x, or raises the same EvaluationError where the original raises it.
     """
-    pts = np.asarray(x, dtype=float)
-    fixed = frozenset(np.flatnonzero(same).tolist())
+    tail = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _fold(ast, np.asarray(t, dtype=float), pts, fixed)
+        return _fold(ast, np.asarray(t, dtype=float), tail, lead)
 
 
-def _columns(node, d):
-    """The 0-based coordinates that ``node`` reads."""
-    if isinstance(node, VarX):
-        return {node.index - 1}
-    if isinstance(node, Neg):
-        return _columns(node.arg, d)
-    if isinstance(node, BinOp):
-        return _columns(node.left, d) | _columns(node.right, d)
-    if isinstance(node, Call):
-        if node.name in _UNARY_FUNCS:
-            return _columns(node.args[0], d)
-        return set(range(d))
-    return set()
-
-
-def _fold(node, t, pts, fixed):
-    if isinstance(node, (Const, VarT, VarX)):
+def _fold(node, t, tail, lead):
+    if isinstance(node, (Const, VarT)):
         return node
-    if _columns(node, pts.shape[1]) <= fixed:
-        try:
-            return Folded(_eval(node, t, pts))
-        except EvaluationError as exc:
-            return Folded(None, str(exc))
+    if isinstance(node, VarX):
+        j = node.index - 1 - lead
+        return node if j < 0 else Folded(tail[:, j].copy())
     if isinstance(node, Neg):
-        return Neg(_fold(node.arg, t, pts, fixed))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _fold(node.left, t, pts, fixed),
-                     _fold(node.right, t, pts, fixed))
-    if node.name in _UNARY_FUNCS:
-        return Call(node.name, (_fold(node.args[0], t, pts, fixed),))
-    if node.name == "indicator_box":
+        node = Neg(_fold(node.arg, t, tail, lead))
+        kids = (node.arg,)
+    elif isinstance(node, BinOp):
+        node = BinOp(node.op, _fold(node.left, t, tail, lead),
+                     _fold(node.right, t, tail, lead))
+        kids = (node.left, node.right)
+    elif node.name in _UNARY_FUNCS:
+        node = Call(node.name, (_fold(node.args[0], t, tail, lead),))
+        kids = node.args
+    elif lead and node.name == "indicator_box":
         lo, hi = (a.value for a in node.args)
-        rest = tuple(j for j in range(pts.shape[1]) if j not in fixed)
-        return Box(lo, hi, rest, _inside(lo, hi, pts, sorted(fixed)))
-    return node
+        return Box(lo, hi, tuple(range(lead)),
+                   _inside(lo, hi, tail, range(tail.shape[1])))
+    elif lead:
+        return Radial(node, radial_args(tail)[0], lead + tail.shape[1])
+    else:    # reads every coordinate, all of them folded
+        kids = ()
+    if not all(isinstance(kid, (Const, VarT, Folded)) for kid in kids):
+        return node
+    try:
+        return Folded(_eval(node, t, tail))
+    except EvaluationError as exc:
+        return Folded(None, str(exc))
 
 
 def _inside(lo, hi, pts, columns, inside=None):
     """``inside`` ANDed with lo <= x_j <= hi for each j of ``columns``, one
     column at a time (None for no columns and no ``inside``)."""
     for j in columns:
-        test = pts[:, j] >= lo
-        test &= pts[:, j] <= hi
+        test = pts[..., j] >= lo
+        test &= pts[..., j] <= hi
         inside = test if inside is None else inside & test
     return inside
 
@@ -329,7 +333,7 @@ def _eval(node, t, pts):
     if isinstance(node, VarT):
         return t
     if isinstance(node, VarX):
-        return pts[:, node.index - 1]
+        return pts[..., node.index - 1]
     if isinstance(node, Neg):
         return -_eval(node.arg, t, pts)
     if isinstance(node, BinOp):
@@ -359,6 +363,8 @@ def _eval(node, t, pts):
     if isinstance(node, Box):
         return _inside(node.lo, node.hi, pts, node.columns,
                        node.inside).astype(float)
+    if isinstance(node, Radial):
+        return _radial(node.call, radial_args(pts, node.r2)[0], node.d)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -373,14 +379,17 @@ def _eval_call(node, t, pts):
         if name == "sin":
             return np.sin(v)
         return np.maximum(0.0, v)
-    if name == "norm2":
-        return radial_args(pts)[0]
-    params = [a.value for a in node.args]
-    if name == "phi_bump":
-        return _phi_bump(int(params[0]), params[1], pts)
-    if name == "psi_getoor":
-        return psi_getoor_batch(int(params[0]), params[1], pts.shape[1],
-                                radial_args(pts)[0])
-    # indicator_box
-    lo, hi = params
-    return _inside(lo, hi, pts, range(pts.shape[1])).astype(float)
+    if name == "indicator_box":
+        lo, hi = (a.value for a in node.args)
+        return _inside(lo, hi, pts, range(pts.shape[-1])).astype(float)
+    return _radial(node, radial_args(pts)[0], pts.shape[-1])
+
+
+def _radial(node, r2, d):
+    """norm2(), phi_bump or psi_getoor ``node`` at |x|^2 = r2 in dimension d."""
+    if node.name == "norm2":
+        return r2
+    k, alpha = int(node.args[0].value), node.args[1].value
+    if node.name == "phi_bump":
+        return bump_r2(k, alpha, r2)
+    return psi_getoor_batch(k, alpha, d, r2)

@@ -29,21 +29,22 @@ from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bu
 # --------------------------------------------------------------------------
 # Coefficient functions (t may be scalar or (n,); x is (n, d); result (n,)).
 # A coefficient or terminal that depends on x only through |x|^2 and
-# sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal),
-# which the engine calls instead of building x itself.  Both sums come from
-# ``specfun.radial_args``, whose docstring states their order.  An inline
-# expression callable has ``fold(t, x, same)`` (``fold(x, same)`` for a
-# terminal) instead: a copy of itself that evaluates once, at the rows of x,
-# every part of its expression that reads only t and the coordinates flagged
-# in ``same`` (see ``expressions.fold_expression``).
+# sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal):
+# the engine sums both by ``specfun.radial_args`` over the coordinates a run
+# holds fixed once, and continues them over the others.  An inline
+# expression callable has ``fold(t, x, lead)`` (``fold(x, lead)`` for a
+# terminal) instead: a copy of itself that reads only the first ``lead``
+# coordinates of its points (..., n, lead), every part of its expression
+# that reads only t and x, the later coordinates, evaluated once at the rows
+# of x (see ``expressions.fold_expression``).
 # --------------------------------------------------------------------------
 
 
-def _folded(fn, t, x, same):
+def _folded(fn, t, x, lead):
     """A copy of expression callable ``fn`` with its AST folded at t and the
-    rows of x."""
+    rows of x, its coordinates from ``lead`` on."""
     folded = copy.copy(fn)
-    object.__setattr__(folded, "ast", fold_expression(fn.ast, t, x, same))
+    object.__setattr__(folded, "ast", fold_expression(fn.ast, t, x, lead))
     return folded
 
 
@@ -71,8 +72,8 @@ class ExpressionCoefficient:
     def __call__(self, t, x):
         return np.atleast_1d(eval_expression(self.ast, t, x))
 
-    def fold(self, t, x, same):
-        return _folded(self, t, x, same)
+    def fold(self, t, x, lead):
+        return _folded(self, t, x, lead)
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,8 @@ class ExpressionTerminal:
     def __call__(self, x):
         return np.atleast_1d(eval_expression(self.ast, 0.0, np.atleast_2d(x)))
 
-    def fold(self, x, same):
-        return _folded(self, 0.0, x, same)
+    def fold(self, x, lead):
+        return _folded(self, 0.0, x, lead)
 
 
 # --------------------------------------------------------------------------

@@ -87,24 +87,27 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     return float(_hyp2f1_vec(a, b, c, np.array([z]))[0])
 
 
-def radial_args(x):
+def radial_args(x, r2=0.0, s=0.0):
     """|x|^2 and sum_j x_j of points x (..., d), each summed from the last
-    coordinate to the first.
+    coordinate to the first, continued from ``r2`` and ``s``: the sums over
+    later coordinates, which broadcast against x's rows.
 
     This is the one place that sums them: the radial models (ScaledBump,
-    NldSource, GraddSource), ``phi_bump``, ``psi_getoor`` and the
-    expression language's norm2(), phi_bump and psi_getoor all read |x|^2
-    from here, so an inline copy of a catalog model gives its bits.  The
-    engine continues the same sums from cached tails of its displacements
-    in the same order, so both routes agree bit for bit.
+    NldSource, GraddSource), ``phi_bump``, ``psi_getoor``, the engine and
+    the expression language's norm2(), phi_bump and psi_getoor all read
+    |x|^2 from here, so an inline copy of a catalog model gives its bits,
+    and ``radial_args(x[..., :k], *radial_args(x[..., k:]))`` is
+    ``radial_args(x)``, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    r2 = np.zeros(x.shape[:-1])
-    s = np.zeros(x.shape[:-1])
+    if not x.shape[-1]:    # adding 0.0 keeps any sum from here (never -0.0)
+        x = np.zeros(x.shape[:-1] + (1,))
     for j in range(x.shape[-1] - 1, -1, -1):
         y = x[..., j]
-        s += y
-        r2 += y * y
+        s = s + y
+        y = y * y
+        y += r2
+        r2 = y
     return r2, s
 
 

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -200,6 +204,27 @@ class TestSweep:
     def test_bad_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "grid": "0:1"})
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+
+    def test_huge_grid_is_refused_in_bounded_memory(self, tmp_path):
+        """5e7 points of nld at d = 10 would take 4 GB; a sweep run in a
+        child process capped at 2 GB of address space refuses the grid,
+        typed, before allocating it."""
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": "nld", "d": 10, "alpha": 1.5, "k": 1, "t": 0.9,
+            "n_trees": 2_000, "grid": "-1:1:50000000"})
+        limit = 2 * 1024 ** 3
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchpde.cli", "sweep", "--config", cfg,
+             "--out", str(tmp_path / "r.csv")],
+            capture_output=True, text=True, timeout=120, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (limit, limit)))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error:")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCheck:

@@ -317,6 +317,30 @@ class TestInlineCopies:
                                master_seed=3)
                 assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
+    @pytest.mark.parametrize("name,d,spec,marks", [
+        ("nld", 10, _NLD_INLINE, (0,)),
+        ("gradd", 2, _GRADD_INLINE, (0, 1, 2)),
+    ])
+    @pytest.mark.parametrize("fixed", [0.0, 0.3])
+    def test_inline_sweep_gives_catalog_bits(self, name, d, spec, marks,
+                                             fixed):
+        """An x1 sweep reads x1 alone: norm2(), phi_bump and psi_getoor
+        keep the |x|^2 of the later coordinates (0, or x_d = ``fixed``),
+        summed once per plan and continued over x1."""
+        catalog = builtin_model(name, d=d, alpha=1.5, k=1)
+        inline = resolve_model({"model": spec})
+        points = np.zeros((9, d))
+        points[:, -1] = fixed
+        points[:, 0] = np.linspace(-1.2, 1.2, len(points))
+        for mark in marks:
+            want, got = Grid(points), Grid(points)
+            for x in points:
+                a = estimate(catalog, 0.5, x, mark, 1.0, 2_000,
+                             master_seed=3, grid=want)
+                b = estimate(inline, 0.5, x, mark, 1.0, 2_000,
+                             master_seed=3, grid=got)
+                assert (b.mean, b.stderr) == (a.mean, a.stderr)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_inline_burgers_sweep_gives_catalog_bits(self, d):
         """An x1 sweep with fixed nonzero later coordinates folds them out
@@ -467,8 +491,9 @@ class TestFlatSkeleton:
                                           seed, data):
         """A block's columns, planned for all of its points, are its points'
         one-point evaluations, each planned for that point alone, bit for
-        bit; and every term, radial, folded or called as it is, gives phi
-        and c_l called at x + disp."""
+        bit; and every term, radial, folded or called as it is, gives the
+        bits of phi and c_l called at x + disp, reading only the columns up
+        to the last one in which the points differ when it can."""
         model = _catalog(name, d)
         mark = min(mark, d)
         coordinate = st.one_of(st.just(0.0), st.floats(-1.5, 1.5))
@@ -489,25 +514,32 @@ class TestFlatSkeleton:
         # is not constant and that has rows, then the marked leaves' births,
         # the root leaves' at the origin last
         sk = skeleton
-        coeffs = model.nonlinearity.coeffs
-        kinds = [sk.disp[sk.rows[0]]] + [
-            sk.disp[rows] for coeff, rows in zip(coeffs, sk.rows[1:])
+        phi, coeffs = model.terminal.phi, model.nonlinearity.coeffs
+        kinds = [(phi, sk.disp[sk.rows[0]], ())] + [
+            (coeff, sk.disp[rows], (sk.death[rows],))
+            for coeff, rows in zip(coeffs, sk.rows[1:])
             if not isinstance(coeff, ConstantCoefficient) and rows.size]
         terms = list(plan.terms)
         # the root leaves are the leaves at rows 0..n-1
         root_leaves = np.flatnonzero(sk.rows[0] < n) if mark else []
         if plan.marked.size:
-            kinds.append(np.concatenate(
-                [sk.marked_birth, np.zeros((len(root_leaves), d))]))
+            kinds.append((phi, np.concatenate(
+                [sk.marked_birth, np.zeros((len(root_leaves), d))]), ()))
             terms.append(plan.births)
         assert np.array_equal(plan.marked,
                               np.concatenate([sk.marked_rows, root_leaves]))
         assert len(terms) == len(kinds)
-        for (fn, times, rows), disp in zip(terms, kinds):
-            got = _values(fn, times, rows, points)
-            want = np.array([fn(x + disp) if times is None
-                             else fn(times, x + disp) for x in points])
-            np.testing.assert_array_equal(got, want)
+        # a radial or folded term reads the coordinates up to the last one
+        # whose bits differ between the points, any other term all of them
+        differ = [j for j in range(d)
+                  if len({p.tobytes() for p in points[:, j:j + 1]}) > 1]
+        lead = differ[-1] + 1 if differ else 0
+        for term, (fn, disp, times) in zip(terms, kinds):
+            narrow = hasattr(fn, "radial") or hasattr(fn, "fold")
+            assert term[2].shape == (len(disp), lead if narrow else d)
+            got = _values(term, points)
+            want = np.array([fn(*times, x + disp) for x in points])
+            assert got.tobytes() == want.tobytes()
 
     def test_memory_peaks(self):
         """Growing one 25k-tree batch of fig1b (nld, d = 10), and evaluating

@@ -43,13 +43,16 @@ def to_source(node, _prec=0) -> str:
 # random ASTs in t, x1 and x2, leaves including the calls that read all of x
 _BOX = st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)).map(
     lambda p: Call("indicator_box", (Const(p[0]), Const(p[0] + p[1]))))
+_RADIAL = st.sampled_from([Call(name, args) for name, args in (
+    ("norm2", ()), ("phi_bump", (Const(1.0), Const(1.5))),
+    ("psi_getoor", (Const(1.0), Const(1.5))))])
 _ASTS = st.recursive(
     st.one_of(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
         st.just("t"), st.just("x1"), st.just("x2"),
     ).map(lambda v: Const(float(v)) if isinstance(v, float)
           else (VarT() if v == "t" else VarX(int(v[1:]))))
-    | _BOX | st.just(Call("norm2", ())),
+    | _BOX | _RADIAL,
     lambda kids: st.one_of(
         kids.map(Neg),
         st.tuples(st.sampled_from("+-*/^"), kids, kids)
@@ -252,13 +255,14 @@ class TestEval:
 
 
 class TestFold:
-    @given(ast=_ASTS, same=st.tuples(st.booleans(), st.booleans()),
-           n=st.integers(1, 6), scalar_t=st.booleans(), data=st.data())
+    @given(ast=_ASTS, lead=st.integers(0, 2), n=st.integers(1, 6),
+           scalar_t=st.booleans(), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_fold_gives_the_original_bits(self, ast, same, n, scalar_t,
+    def test_fold_gives_the_original_bits(self, ast, lead, n, scalar_t,
                                           data):
-        """Folded at x, an AST evaluates at any rows that hold x's bits in
-        the flagged columns to the original's bits, or raises its error."""
+        """Folded at the columns of x from ``lead`` on, an AST evaluates at
+        the first ``lead`` columns of any rows that hold x's bits in the
+        others to the original's bits at those rows, or raises its error."""
         value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                           st.floats(-3.0, 3.0))
         rows = st.lists(st.lists(value, min_size=2, max_size=2),
@@ -266,10 +270,10 @@ class TestFold:
         x = data.draw(rows, label="x")
         t = (data.draw(value, label="t") if scalar_t
              else data.draw(rows, label="t")[:, 0])
-        folded = fold_expression(ast, t, x, same)
+        folded = fold_expression(ast, t, x[:, lead:], lead)
         for y in (x, data.draw(rows, label="y")):
-            y = np.where(same, x, y)
-            assert _outcome(folded, t, y) == _outcome(ast, t, y)
+            y = np.column_stack([y[:, :lead], x[:, lead:]])
+            assert _outcome(folded, t, y[:, :lead]) == _outcome(ast, t, y)
 
     def test_burgers_terminal_keeps_one_cos(self):
         """Folding x2 out of the fig3b terminal leaves cos(x1) and the x1
@@ -278,7 +282,7 @@ class TestFold:
             "cos(x1)*cos(x2)*indicator_box(-1.5707963267948966, "
             "1.5707963267948966)", 2)
         x = np.array([[-3.0, 0.2], [0.5, -1.6], [1.0, 1.0]])
-        folded = fold_expression(ast, 0.0, x, (False, True))
+        folded = fold_expression(ast, 0.0, x[:, 1:], 1)
         nodes = list(_nodes(folded))
         assert [n.args[0] for n in nodes
                 if isinstance(n, Call)] == [VarX(1)]
@@ -287,14 +291,25 @@ class TestFold:
         assert box.columns == (0,)
         np.testing.assert_array_equal(box.inside, [True, False, True])
         y = np.column_stack([[1.0, 0.0, -2.0], x[:, 1]])
-        assert (eval_expression(folded, 0.0, y).tobytes()
+        assert (eval_expression(folded, 0.0, y[:, :1]).tobytes()
                 == eval_expression(ast, 0.0, y).tobytes())
 
     def test_single_point_folds_everything(self):
         ast = parse_expression("exp(-t) * x1 / x2", 2)
         x = np.array([[0.3, 2.0]])
-        assert isinstance(fold_expression(ast, 0.5, x, (True, True)), Folded)
+        assert isinstance(fold_expression(ast, 0.5, x, 0), Folded)
         with pytest.raises(EvaluationError, match="division by zero"):
-            eval_expression(
-                fold_expression(ast, 0.5, np.zeros((1, 2)), (True, True)),
-                0.5, np.zeros((1, 2)))
+            eval_expression(fold_expression(ast, 0.5, np.zeros((1, 2)), 0),
+                            0.5, np.zeros((1, 0)))
+
+    def test_radial_calls_keep_the_folded_norm(self):
+        """Folding x2..x4 out of psi_getoor and norm2() keeps their |x|^2
+        over those coordinates, continued over x1, and psi_getoor keeps
+        d = 4."""
+        ast = parse_expression("psi_getoor(1, 1.5) + x4 * norm2()", 4)
+        x = np.array([[0.1, -0.4, 0.2, 0.7], [2.0, 0.3, -0.5, 0.0]])
+        folded = fold_expression(ast, 0.0, x[:, 1:], 1)
+        assert not any(isinstance(n, VarX) and n.index > 1
+                       for n in _nodes(folded))
+        assert (eval_expression(folded, 0.0, x[:, :1]).tobytes()
+                == eval_expression(ast, 0.0, x).tobytes())

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special
 
 from branchpde import specfun
 from branchpde.errors import AccuracyError, DomainError
 from branchpde.specfun import (gamma_fn, gamma_reflected, hyp2f1, phi_bump,
-                               psi_getoor, psi_getoor_batch, upper_reg_gamma)
+                               psi_getoor, psi_getoor_batch, radial_args,
+                               upper_reg_gamma)
 
 
 class TestGamma:
@@ -150,6 +153,34 @@ class TestPhiBump:
             phi_bump(-1, 1.5, np.zeros(2))
         with pytest.raises(DomainError):
             phi_bump(0, 2.5, np.zeros(2))
+
+
+class TestRadialArgs:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5), d=st.integers(1, 6), g=st.integers(1, 3),
+           data=st.data())
+    def test_continued_sums_are_the_whole_sums(self, n, d, g, data):
+        """Sums continued from the sums of the later coordinates are the
+        sums over all of x, bit for bit, at every split k; tails of (n,)
+        rows broadcast over (G, n) points sharing those coordinates."""
+        value = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-1e150, 1e150))
+        x = np.array(data.draw(st.lists(st.lists(value, min_size=d,
+                                                 max_size=d),
+                                        min_size=n, max_size=n)))
+        lead = data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                  min_size=g, max_size=g))
+        for k in range(d + 1):
+            got = radial_args(x[..., :k], *radial_args(x[..., k:]))
+            assert [a.tobytes() for a in got] == \
+                [a.tobytes() for a in radial_args(x)]
+            # G points, each of the n rows holding x's coordinates from k on
+            points = np.array(lead)[:, None, :] + np.zeros_like(x)
+            points[..., k:] = x[:, k:]
+            got = radial_args(points[..., :k], *radial_args(x[:, k:]))
+            want = radial_args(points)
+            assert all(a.shape == (g, n) for a in got)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestPositivePower:
