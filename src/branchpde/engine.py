@@ -41,17 +41,15 @@ left is phi at x + displacement over the leaves and c_l at the interior
 deaths of the other categories, one term per kind, and each term is one
 call per block of points.  Every point of a run holds the same bits from
 coordinate ``lead`` on (all of them for one point, x_2..x_d for an x_1
-sweep), so the plan does the work of those coordinates once: a radial phi
-or c_l (ScaledBump, NldSource, GraddSource) keeps its rows' sums
-|x + disp|^2 and sum_j (x + disp)_j over them, which ``specfun.radial_args``
-continues over the first ``lead``, and an inline expression is folded at
-them.  Either then reads only the first ``lead`` columns; any other phi or
-c_l is called on the (points x rows, d) rows of x + disp.  A block holds at
-most EVAL_BLOCK_CELLS points x rows x columns read.  A point's values are
-the same bits whatever other points share its block or its run.  Each
-block's tree values are reduced into the batch's one statistics record,
-(K G,) arrays over the run's K marks by G points of the means, squared
-deviations and zero counts, and the records are merged in batch order.
+sweep), so a phi or c_l with ``fold`` is folded at those coordinates of its
+rows once per plan (see ``model``) and then reads only the first ``lead``
+columns; any other is called on the (points x rows, d) rows of x + disp.
+A block holds at most EVAL_BLOCK_CELLS points x rows x columns read.  A
+point's values are the same bits whatever other points share its block or
+its run.  Each block's tree values are reduced into the batch's one
+statistics record, (K G,) arrays over the run's K marks by G points of the
+means, squared deviations and zero counts, and the records are merged in
+batch order.
 Randomness is drawn from one stream per fixed-size batch, whatever the
 marks, so estimates are bit-identical for any worker count.
 
@@ -75,7 +73,7 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateDerivativeError,
                      DomainError, ProductOverflowError)
-from .model import ConstantCoefficient, PdeModel, radial_args
+from .model import ConstantCoefficient, PdeModel
 from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
@@ -335,14 +333,11 @@ class _Plan:
     rows of each category whose coefficient is not constant; per such kind,
     ``trees`` holds their tree index and ``terms`` one term, and ``births``
     holds one for phi at the birth of the ``marked`` leaf rows.  A term is
-    (call, times, disp, sums), which ``_values`` calls once per block of
-    points.  ``times`` is () for phi and (death times,) for c_l, and
-    ``disp`` the columns of the rows' displacements that ``call`` reads.
-    ``call`` is a radial phi or c_l's ``radial`` method, with ``sums`` its
-    rows' |x + disp|^2 and sum_j (x + disp)_j over the other columns; an
-    expression folded for the plan, with sums (); or any other phi or c_l,
-    with sums None.  ``block`` is the number of points a call of
-    ``_evaluate`` takes.
+    (call, times, disp), which ``_values`` calls once per block of points:
+    ``call`` is phi or c_l, folded for the plan if it has ``fold``, or as
+    it is; ``times`` is () for phi and (death times,) for c_l; and ``disp``
+    the columns of the rows' displacements that ``call`` reads.  ``block``
+    is the number of points a call of ``_evaluate`` takes.
     """
 
     base: np.ndarray
@@ -362,11 +357,9 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
     (0 where ds = 0), and a root leaf subtracts phi at its birth, the
     origin, like the other marked leaves.  ``lead`` is 1 + the last
     coordinate in which the points' bits differ, 0 for one point, so every
-    point holds x0 = points[0] from ``lead`` on.  A radial callable keeps
-    its rows' |x0 + disp|^2 and sum_j (x0 + disp)_j over those coordinates,
-    summed by ``radial_args``, and an expression with ``fold`` is folded at
-    them; either reads only the first ``lead`` columns.  Any other callable
-    reads all of them.
+    point holds x0 = points[0] from ``lead`` on.  A callable with ``fold``
+    is folded at those coordinates of x0 + disp and reads only the first
+    ``lead`` columns; any other reads all of them.
     """
     bits = np.ascontiguousarray(points).view(np.uint64)
     varies = np.flatnonzero(np.any(bits != bits[0], axis=0))
@@ -375,13 +368,11 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
     def term(fn, disp, rows, *times):
         # fn's term at ``rows`` of ``disp``, an index array: each
         # disp[rows, ...] below is a new array
-        if not (hasattr(fn, "radial") or hasattr(fn, "fold")):
-            return fn, times, disp[rows], None
+        if not hasattr(fn, "fold"):
+            return fn, times, disp[rows]
         tail = disp[rows, lead:]
         tail += points[0, lead:]
-        if hasattr(fn, "radial"):
-            return fn.radial, times, disp[rows, :lead], radial_args(tail)
-        return fn.fold(*times, tail, lead), times, disp[rows, :lead], ()
+        return fn.fold(*times, tail, lead), times, disp[rows, :lead]
 
     phi = model.terminal.phi
     n = sk.root_ds.size
@@ -408,7 +399,7 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
               if marked.size else ())
     # each call's rows times the columns it reads, at least 1
     cells = sum(max(disp.size, len(disp))
-                for _, _, disp, _ in terms + ([births] if births else []))
+                for _, _, disp in terms + ([births] if births else []))
     base = _multiply(np.ones(n), ((sk.tree[rows], factor[rows])
                                   for rows in sk.rows))
     return _Plan(base=base, trees=tuple(trees), terms=tuple(terms),
@@ -420,20 +411,17 @@ def _values(term, points: np.ndarray) -> np.ndarray:
     """A _Plan term at x + disp for each point x (a row of ``points``) and
     each of its rows: a (G, rows) array, from one call.
 
-    A radial callable gets the term's sums continued over the columns of
-    x + disp that it reads, a folded expression those columns, (G, rows,
-    lead), and any other callable the (G rows, d) rows of x + disp, its
-    death times repeated for each point.
+    A folded callable gets the columns of x + disp that it reads, (G, rows,
+    lead), and any other the (G rows, d) rows of x + disp, its death times
+    repeated for each point.
     """
-    call, times, disp, sums = term
+    call, times, disp = term
     x = points[:, None, :disp.shape[1]] + disp
-    if sums is None:
-        t = (np.tile(death, len(points)) for death in times)
-        return np.asarray(call(*t, x.reshape(-1, x.shape[-1])),
-                          dtype=float).reshape(x.shape[:-1])
-    args = radial_args(x, *sums) if sums else (x,)
-    del x    # a radial callable reads only its sums
-    return call(*times, *args)
+    if hasattr(call, "fold"):
+        return call(*times, x)
+    t = (np.tile(death, len(points)) for death in times)
+    return np.asarray(call(*t, x.reshape(-1, x.shape[-1])),
+                      dtype=float).reshape(x.shape[:-1])
 
 
 def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:

@@ -28,24 +28,40 @@ from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bu
 
 # --------------------------------------------------------------------------
 # Coefficient functions (t may be scalar or (n,); x is (n, d); result (n,)).
-# A coefficient or terminal that depends on x only through |x|^2 and
-# sum_j x_j also has ``radial(t, r2, s)`` (``radial(r2, s)`` for a terminal):
-# the engine sums both by ``specfun.radial_args`` over the coordinates a run
-# holds fixed once, and continues them over the others.  An inline
-# expression callable has ``fold(t, x, lead)`` (``fold(x, lead)`` for a
-# terminal) instead: a copy of itself that reads only the first ``lead``
-# coordinates of its points (..., n, lead), every part of its expression
-# that reads only t and x, the later coordinates, evaluated once at the rows
-# of x (see ``expressions.fold_expression``).
+# A coefficient or terminal that a run can evaluate at fewer coordinates
+# has ``fold(t, x, lead)`` (``fold(x, lead)`` for a terminal): a copy of
+# itself, folded at t and the rows of x, the coordinates from ``lead`` on,
+# that reads only the first ``lead`` coordinates of its points (..., n,
+# lead) and gives the bits of the original at the joined points.  An inline
+# expression folds every part that reads only t and those coordinates (see
+# ``expressions.fold_expression``); a radial callable keeps its rows' |x|^2
+# and sum_j x_j over them, which ``specfun.radial_args`` continues.
 # --------------------------------------------------------------------------
 
 
-def _folded(fn, t, x, lead):
-    """A copy of expression callable ``fn`` with its AST folded at t and the
-    rows of x, its coordinates from ``lead`` on."""
+def _folded(fn, name, value):
+    """A copy of ``fn`` with its field ``name`` set to ``value``."""
     folded = copy.copy(fn)
-    object.__setattr__(folded, "ast", fold_expression(fn.ast, t, x, lead))
+    object.__setattr__(folded, name, value)
     return folded
+
+
+@dataclass(frozen=True)
+class _Radial:
+    """A callable of x through |x|^2 and sum_j x_j alone; ``tail`` holds
+    both over the coordinates it was folded at, per row."""
+
+    tail: tuple = field(default=(0.0, 0.0), init=False, compare=False,
+                        repr=False)
+
+    def sums(self, x):
+        """|x|^2 and sum_j x_j of points x, continued from the tail."""
+        return radial_args(x, *self.tail)
+
+    def fold(self, *args):
+        """fold(t, x, lead), or fold(x, lead) for a terminal: t and lead
+        are not read."""
+        return _folded(self, "tail", radial_args(args[-2]))
 
 
 @dataclass(frozen=True)
@@ -73,11 +89,11 @@ class ExpressionCoefficient:
         return np.atleast_1d(eval_expression(self.ast, t, x))
 
     def fold(self, t, x, lead):
-        return _folded(self, t, x, lead)
+        return _folded(self, "ast", fold_expression(self.ast, t, x, lead))
 
 
 @dataclass(frozen=True)
-class NldSource:
+class NldSource(_Radial):
     """c_0(t,x) = e^(-t) Psi_(k,a)(x) - e^(-4t) (1 - |x|^2)_+^(4k+2a)."""
 
     k: int
@@ -85,16 +101,14 @@ class NldSource:
     d: int
 
     def __call__(self, t, x):
-        return self.radial(t, *radial_args(x))
-
-    def radial(self, t, r2, s):
+        r2, _ = self.sums(x)
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
         bump4 = _positive_power(1.0 - r2, 4 * self.k + 2.0 * self.alpha)
         return np.exp(-np.asarray(t)) * psi - np.exp(-4.0 * np.asarray(t)) * bump4
 
 
 @dataclass(frozen=True)
-class GraddSource:
+class GraddSource(_Radial):
     """c_(0..0)(t,x) = e^(-t) Psi + (2k+a) e^(-2t) (1-|x|^2)_+^(2k+a-1) sum_j x_j."""
 
     k: int
@@ -102,9 +116,7 @@ class GraddSource:
     d: int
 
     def __call__(self, t, x):
-        return self.radial(t, *radial_args(x))
-
-    def radial(self, t, r2, s):
+        r2, s = self.sums(x)
         psi = psi_getoor_batch(self.k, self.alpha, self.d, r2)
         power = _positive_power(1.0 - r2, 2 * self.k + self.alpha - 1.0)
         t = np.asarray(t)
@@ -118,7 +130,7 @@ class GraddSource:
 
 
 @dataclass(frozen=True)
-class ScaledBump:
+class ScaledBump(_Radial):
     """phi(x) = scale * (1 - |x|^2)_+^(k + alpha/2)."""
 
     k: int
@@ -126,10 +138,7 @@ class ScaledBump:
     scale: float = 1.0
 
     def __call__(self, x):
-        return self.radial(*radial_args(x))
-
-    def radial(self, r2, s):
-        value = bump_r2(self.k, self.alpha, r2)
+        value = bump_r2(self.k, self.alpha, self.sums(x)[0])
         value *= self.scale
         return value
 
@@ -192,7 +201,7 @@ class ExpressionTerminal:
         return np.atleast_1d(eval_expression(self.ast, 0.0, np.atleast_2d(x)))
 
     def fold(self, x, lead):
-        return _folded(self, 0.0, x, lead)
+        return _folded(self, "ast", fold_expression(self.ast, 0.0, x, lead))
 
 
 # --------------------------------------------------------------------------
@@ -341,14 +350,17 @@ def _radial_sup(coeff, direction: np.ndarray, T: float) -> float:
     For k = 0 the nld exterior branch blows up at |x| -> 1+, so the scan
     excludes a thin shell and the returned value is a finite proxy for the
     formally infinite sup.  ``coeff`` is radial and is evaluated once, on
-    the whole (t, x) grid.
+    the whole (t, x) grid, folded at the zero coordinates that follow the
+    last nonzero one of ``direction``.
     """
     r2 = np.concatenate([np.linspace(0.0, 0.999, 400),
                          1.0 + np.geomspace(1e-4, 24.0, 400)])
+    lead = int(np.flatnonzero(direction)[-1]) + 1
     x = (np.sqrt(np.maximum(r2, 1e-30))[:, None]
-         / np.sqrt(radial_args(direction)[0]) * direction)
+         / np.sqrt(radial_args(direction)[0]) * direction[:lead])
     times = np.linspace(0.0, T, 41)[:, None]
-    return float(np.max(np.abs(coeff.radial(times, *radial_args(x)))))
+    folded = coeff.fold(times, np.zeros((1, direction.size - lead)), lead)
+    return float(np.max(np.abs(folded(times, x))))
 
 
 def _bump_terminal(k: int, alpha: float, T: float) -> TerminalCondition:
@@ -357,6 +369,23 @@ def _bump_terminal(k: int, alpha: float, T: float) -> TerminalCondition:
     lip = 2.0 * exponent * scale if exponent >= 1.0 else None
     return TerminalCondition(phi=ScaledBump(k=k, alpha=alpha, scale=scale),
                              sup_norm=scale, lipschitz=lip)
+
+
+# Entries of a catalog model's multi-indices, categories x (m + 1), built
+# as tuples of ints: 5e6 of them is burgers at d = 2235, a ~40 MB build.
+MAX_CATALOG_ENTRIES = 5_000_000
+
+
+def _gradient_indices(d: int, categories: int) -> tuple:
+    """(1, e_i) for i = 1..d: u times du/dx_i, the gradient terms of gradd
+    and burgers, in a model of ``categories`` multi-indices; refused when
+    the model's entries exceed MAX_CATALOG_ENTRIES."""
+    if categories * (d + 1) > MAX_CATALOG_ENTRIES:
+        raise AdmissibilityError(
+            f"d={d} gives {categories} multi-indices of {d + 1} entries, "
+            f"more than {MAX_CATALOG_ENTRIES}")
+    return tuple((1,) + tuple(int(j == i) for j in range(d))
+                 for i in range(d))
 
 
 def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
@@ -375,9 +404,6 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
     if name in ("nld", "gradd") and kappa != 1.0:
         raise AdmissibilityError(f"{name} requires kappa = 1, got {kappa}")
     lifetime = LifetimeDensity(delta=delta)
-    # (1, e_i): u times du/dx_i, the gradient terms of gradd and burgers
-    grads = tuple((1,) + tuple(int(j == i) for j in range(d))
-                  for i in range(d))
 
     if name == "nld":
         if not 0.0 < alpha < 2.0:
@@ -386,7 +412,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
         coeffs = (NldSource(k=k, alpha=alpha, d=d),
                   ConstantCoefficient(1.0), ConstantCoefficient(1.0))
         # |c_0| is radial
-        sups = (_radial_sup(coeffs[0], np.eye(d)[0], T), 1.0, 1.0)
+        sups = (_radial_sup(coeffs[0], np.eye(1, d)[0], T), 1.0, 1.0)
         nonlin = PolynomialNonlinearity(m=0, indices=indices,
                                         coeffs=coeffs, coeff_sup=sups)
         return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
@@ -398,7 +424,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
             raise AdmissibilityError("gradient-bearing models require alpha in (1, 2)")
         zero = (0,) * (d + 1)
         lone_u = (1,) + (0,) * d
-        indices = (zero, lone_u) + grads
+        indices = (zero, lone_u) + _gradient_indices(d, d + 2)
         coeffs = ((GraddSource(k=k, alpha=alpha, d=d),)
                   + (ConstantCoefficient(1.0),) * (d + 1))
         # the worst direction for sum_j x_j is the diagonal
@@ -416,7 +442,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
         # canonical form gives the convection term coefficient -1
         coeffs = (ConstantCoefficient(-1.0),) * d
         sups = (1.0,) * d
-        nonlin = PolynomialNonlinearity(m=d, indices=grads,
+        nonlin = PolynomialNonlinearity(m=d, indices=_gradient_indices(d, d),
                                         coeffs=coeffs, coeff_sup=sups)
         if name == "burgers-halfspace":
             terminal = TerminalCondition(phi=HalfspaceIndicator(), sup_norm=1.0,

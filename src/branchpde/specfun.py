@@ -20,10 +20,13 @@ from .errors import AccuracyError, DomainError
 
 
 def gamma_fn(p: float) -> float:
-    """Gamma function for p > 0."""
+    """Gamma function for p > 0; DomainError where it overflows (p > 171.6)."""
     if not math.isfinite(p) or p <= 0.0:
         raise DomainError(f"gamma_fn requires finite p > 0, got {p}")
-    return math.gamma(p)
+    try:
+        return math.gamma(p)
+    except OverflowError:
+        raise DomainError(f"gamma_fn({p}) overflows the float range") from None
 
 
 def gamma_reflected(p: float) -> float:
@@ -93,8 +96,8 @@ def radial_args(x, r2=0.0, s=0.0):
     later coordinates, which broadcast against x's rows.
 
     This is the one place that sums them: the radial models (ScaledBump,
-    NldSource, GraddSource), ``phi_bump``, ``psi_getoor``, the engine and
-    the expression language's norm2(), phi_bump and psi_getoor all read
+    NldSource, GraddSource) and their folds, ``phi_bump``, ``psi_getoor``
+    and the expression language's norm2(), phi_bump and psi_getoor all read
     |x|^2 from here, so an inline copy of a catalog model gives its bits,
     and ``radial_args(x[..., :k], *radial_args(x[..., k:]))`` is
     ``radial_args(x)``, bit for bit.

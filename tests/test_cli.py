@@ -34,6 +34,21 @@ _INLINE = {"d": 1, "indices": [[1]], "coeffs": [1.0], "coeff_sup": [1.0],
            "terminal": {"expr": "1", "sup": 1.0}}
 
 
+def _run_capped(command, cfg, *args):
+    """``branchpde <command> --config cfg`` in a child process capped at
+    2 GB of address space; only the child is limited."""
+    limit = 2 * 1024 ** 3
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "branchpde.cli", command, "--config", cfg,
+         *args],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+
+
 def _unwritable_fails_fast(command, cfg, tmp_path, capsys, monkeypatch):
     """``command`` with --out in a missing directory exits 3 before its
     first estimate."""
@@ -212,16 +227,7 @@ class TestSweep:
         cfg = _write_cfg(tmp_path, "cfg.json", {
             "model": "nld", "d": 10, "alpha": 1.5, "k": 1, "t": 0.9,
             "n_trees": 2_000, "grid": "-1:1:50000000"})
-        limit = 2 * 1024 ** 3
-        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchpde.cli", "sweep", "--config", cfg,
-             "--out", str(tmp_path / "r.csv")],
-            capture_output=True, text=True, timeout=120, env=env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
-                                                  (limit, limit)))
+        proc = _run_capped("sweep", cfg, "--out", str(tmp_path / "r.csv"))
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("configuration error:")
         assert "Traceback" not in proc.stderr
@@ -342,6 +348,33 @@ class TestConfigErrors:
     def test_unknown_model(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {"model": "heat"})
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,model,code", [
+        # Gamma((d + alpha) / 2) and its kin overflow beyond d ~ 340
+        ("estimate", {"model": "nld", "d": 340}, EXIT_CONFIG),
+        ("check", {"model": "nld", "d": 340}, EXIT_CONFIG),
+        ("estimate", {"model": "nld", "d": 1_000_000}, EXIT_CONFIG),
+        ("estimate", {"model": "gradd", "d": 2000}, EXIT_CONFIG),
+        ("check", {"model": "gradd", "d": 2000}, EXIT_CONFIG),
+        ("estimate", {"model": {**_INLINE, "d": 400, "indices": [[0]],
+                                "coeffs": ["psi_getoor(0, 1.5)"]}},
+         EXIT_CONFIG),
+        # beyond MAX_CATALOG_ENTRIES multi-index entries
+        ("estimate", {"model": "gradd", "d": 20_000}, EXIT_CONFIG),
+        ("estimate", {"model": "burgers-cosine", "d": 20_000}, EXIT_CONFIG),
+        # within it, or with no gradient terms
+        ("estimate", {"model": "burgers-cosine", "d": 2000}, EXIT_OK),
+        ("estimate", {"model": "linear-test", "d": 20_000}, EXIT_OK),
+        ("estimate", {"model": "linear-test", "d": 200_000}, EXIT_OK),
+    ])
+    def test_large_dimension_ends_typed_in_bounded_memory(
+            self, tmp_path, command, model, code):
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "alpha": 1.5, "t": 0.9, "T": 1.0, "n_trees": 100, "p": 2.0,
+            **model})
+        proc = _run_capped(command, cfg)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_non_integer_threads_env(self, tmp_path, monkeypatch, capsys):
         cfg = _write_cfg(tmp_path, "cfg.json", LINEAR_CFG)

@@ -21,9 +21,10 @@ from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError, ProductOverflowError)
 from branchpde.model import (ClippedCoordinate, ConstantCoefficient,
-                             LifetimeDensity, PdeModel,
-                             PolynomialNonlinearity, TerminalCondition,
-                             builtin_model, uniform_branching)
+                             GraddSource, LifetimeDensity, NldSource,
+                             PdeModel, PolynomialNonlinearity, ScaledBump,
+                             TerminalCondition, builtin_model,
+                             uniform_branching)
 from branchpde.sampling import RngStream
 from branchpde.specfun import phi_bump
 
@@ -535,11 +536,39 @@ class TestFlatSkeleton:
                   if len({p.tobytes() for p in points[:, j:j + 1]}) > 1]
         lead = differ[-1] + 1 if differ else 0
         for term, (fn, disp, times) in zip(terms, kinds):
-            narrow = hasattr(fn, "radial") or hasattr(fn, "fold")
+            narrow = hasattr(fn, "fold")
             assert term[2].shape == (len(disp), lead if narrow else d)
             got = _values(term, points)
             want = np.array([fn(*times, x + disp) for x in points])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name,d", [("nld", 10), ("gradd", 2)])
+    def test_sweep_calls_the_radial_callables(self, name, d, monkeypatch):
+        """A multi-point run of u and du/dx_1 at t < T evaluates the
+        catalog's bump and source through their ``__call__``, as a tracer
+        wrapping it sees, with the bits of an unwrapped run."""
+        model = builtin_model(name, d=d, k=1)
+        points = np.zeros((3, d))
+        points[:, 0] = (-0.6, 0.1, 0.8)
+
+        def run():
+            return [dataclasses.replace(res, elapsed=0.0)
+                    for res in engine._estimate_points(
+                        model, 0.8, points, (0, 1), 1.0, 2_000, 7, 1,
+                        TreeBudget())]
+
+        want = run()
+        calls = dict.fromkeys((ScaledBump, NldSource, GraddSource), 0)
+        for cls in calls:
+
+            def counted(self, *args, _call=cls.__call__, _cls=cls):
+                calls[_cls] += 1
+                return _call(self, *args)
+
+            monkeypatch.setattr(cls, "__call__", counted)
+        assert run() == want
+        source = NldSource if name == "nld" else GraddSource
+        assert calls[ScaledBump] > 0 and calls[source] > 0
 
     def test_memory_peaks(self):
         """Growing one 25k-tree batch of fig1b (nld, d = 10), and evaluating

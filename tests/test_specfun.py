@@ -28,6 +28,12 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_fn(float("nan"))
 
+    def test_overflow_is_typed(self):
+        # the largest float is Gamma(171.62...)
+        assert gamma_fn(171.6) == math.gamma(171.6)
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_fn(171.7)
+
     def test_reflected_negative(self):
         # Gamma(-1/2) = -2 sqrt(pi)
         assert gamma_reflected(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi),
