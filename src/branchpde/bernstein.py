@@ -154,10 +154,6 @@ class IntegrabilityVerdict:
     converges: bool
     fitted_exponent: float
     inconclusive: bool
-    lam0: float
-
-    def __bool__(self):
-        return self.converges
 
 
 # half-width of the band around -1 in which a fitted decay exponent cannot
@@ -191,7 +187,7 @@ def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> Integrabi
     slope, inconclusive = fit_decay_exponent(grid[tail], integrand[tail])
     return IntegrabilityVerdict(converges=slope < -1.0 and not inconclusive,
                                 fitted_exponent=slope,
-                                inconclusive=inconclusive, lam0=lam0)
+                                inconclusive=inconclusive)
 
 
 def integrability_table() -> list[dict]:

@@ -385,7 +385,14 @@ _COMMANDS = {"estimate": cmd_estimate, "sweep": cmd_sweep, "check": cmd_check,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, the budget-abort code, on a usage error (after
+        # printing it), and 0 after --help
+        if exc.code == 0:
+            raise
+        return EXIT_CONFIG
     try:
         cfg = load_config(args.config, args)
         _check_out(cfg.get("out"))

@@ -73,14 +73,11 @@ import numpy as np
 
 from .errors import (BudgetExceededError, DegenerateDerivativeError,
                      DomainError, ProductOverflowError)
-from .model import ConstantCoefficient, PdeModel
+from .model import MAX_BATCH_FLOATS, ConstantCoefficient, PdeModel
 from .sampling import (RngStream, sample_lifetime, sample_offspring,
                        sample_stable_subordinator)
 
 BATCH_TREES = 25_000
-# A grown batch is stored whole, about 8 (d + 4) bytes a particle: 2e6 of
-# them is ~80 MB at d = 1, 33x the largest batch of the fig sweeps.
-MAX_BATCH_PARTICLES = 2_000_000
 # Float cells of x + disp in one block's calls of phi and c_l, points x
 # rows x the columns each reads (at least 1); their other temporaries, one
 # per operation of an inline expression, are points x rows.  A fig1b sweep,
@@ -207,10 +204,17 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
     Every draw is independent of the root position and of the root's mark,
     so one skeleton serves any number of points and every mark.  Each
     level's arrays are kept as they are drawn and joined once growth stops;
-    rows are never reordered.  Raises BudgetExceededError if a tree outgrows
-    the budget or the batch would store more than MAX_BATCH_PARTICLES
-    particles.
+    rows are never reordered.  A particle stores d + 4 floats.  Raises
+    DomainError if the ``n`` roots alone would store more than
+    MAX_BATCH_FLOATS, and BudgetExceededError if a tree outgrows the budget
+    or the batch would store more than MAX_BATCH_FLOATS.
     """
+    width = model.d + 4
+    if n * width > MAX_BATCH_FLOATS:
+        raise DomainError(
+            f"the {n} roots of a batch at d = {model.d} would store more "
+            f"than {MAX_BATCH_FLOATS} floats; lower n_trees (at most "
+            f"{BATCH_TREES} a batch) or d")
     lifetime = model.lifetime
     q_probs = np.asarray(model.branching.probs, dtype=float)
     child_counts, child_marks, mark_offsets = _offspring_layout(model)
@@ -284,10 +288,10 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
         kid_counts = counts[has_kids]
         ends = np.cumsum(kid_counts)
         stored += int(ends[-1])
-        if stored > MAX_BATCH_PARTICLES:
+        if stored * width > MAX_BATCH_FLOATS:
             raise BudgetExceededError(
-                f"a batch of {n} trees would store more than "
-                f"{MAX_BATCH_PARTICLES} particles; shrink T - t")
+                f"a batch of {n} trees at d = {model.d} would store more "
+                f"than {MAX_BATCH_FLOATS} floats; shrink T - t")
         tree = np.repeat(tree[parent_rows], kid_counts)
         # the child at position k of a parent whose children start at s
         # takes mark k - s of its category's block

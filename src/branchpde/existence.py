@@ -25,7 +25,6 @@ not certify.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +53,25 @@ class Theorem2Check:
     cond_rho: bool
     cond_eta: bool
     cd_check: bool
-    rho_integral: float
     eta_exponent: float
     inconclusive: bool
 
 
-def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
-                   lam0: float = 1.0) -> Theorem2Check:
+def check_theorem2(eta: LaplaceExponent, delta: float, p: float,
+                   T: float) -> Theorem2Check:
     """Verdicts on the two Theorem-2 integrability conditions and the p = 1
     tail condition.
 
-    cond_rho is the closed-form gamma-density criterion (1-delta)(p-1) > -1,
-    confirmed by quadrature of the finite integral.  cond_eta fits the small-s
-    decay exponent of the integrand of the double integral; convergence needs
-    the fitted exponent above -1 + guard, with a symmetric inconclusive band.
+    cond_rho is the closed-form gamma-density criterion (1-delta)(p-1) > -1.
+    cond_eta fits the small-s decay exponent of the integrand of the double
+    integral; convergence needs the fitted exponent above -1 + guard, with a
+    symmetric inconclusive band.
     """
     if not (delta > 0.0 and p >= 1.0 and 0.0 < T < math.inf):
         raise DomainError("require delta > 0, p >= 1, 0 < T < inf")
     rho = LifetimeDensity(delta).rho
 
-    e_rho = (1.0 - delta) * (p - 1.0)
-    cond_rho = e_rho > -1.0
-    rho_integral = _rho_power_integral(delta, p, T) if cond_rho else math.inf
+    cond_rho = (1.0 - delta) * (p - 1.0) > -1.0
 
     # small-s decay exponent of  rho^(1-p)(s) * inner(s)
     s_grid = np.geomspace(1e-6, min(T, 1e-2), 8)
@@ -86,27 +82,10 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float, T: float,
     slope, inconclusive = fit_decay_exponent(s_grid, vals)
     cond_eta = slope > -1.0 and not inconclusive
 
-    cd = check_integrability_cd(eta, lam0=lam0)
+    cd = check_integrability_cd(eta)
     return Theorem2Check(cond_rho=cond_rho, cond_eta=cond_eta,
-                         cd_check=cd.converges, rho_integral=rho_integral,
-                         eta_exponent=slope,
+                         cd_check=cd.converges, eta_exponent=slope,
                          inconclusive=inconclusive or cd.inconclusive)
-
-
-def _rho_power_integral(delta: float, p: float, T: float) -> float:
-    """The integral over (0, T] of rho(s)^(1-p) for the gamma(delta, 1)
-    density, integrated as exp((1 - p) log rho(s)) so that rho(s) never
-    underflows.  Infinite once T rho(T)^(1-p), which bounds the integral
-    when delta <= 1, leaves the float range."""
-    def log_power(s):
-        return (p - 1.0) * ((1.0 - delta) * math.log(s) + s
-                            + math.lgamma(delta))
-
-    if log_power(T) + math.log(T) >= math.log(sys.float_info.max):
-        return math.inf
-    value, _ = _integrate.quad(lambda s: math.exp(log_power(s)), 0.0, T,
-                               epsrel=1e-9, limit=200)
-    return value
 
 
 def _gamma_sup(b: float, c: float, scale: float, T: float) -> float:

@@ -22,6 +22,7 @@ many points sharing those coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 
@@ -99,6 +100,15 @@ class Radial:
     d: int
 
 
+# How deeply an expression may nest: each operator, sign, call and pair of
+# parentheses is a level over what it holds, so x1 + x2 + x3 is 2 levels
+# deep and -(x1) is 2.  Parsing recurses up to 6 Python frames a level (a
+# call), and evaluating, folding and pickling a model for pool workers up
+# to 3, so 100 levels leave room for the callers' frames within Python's
+# default limit of 1000 (under Python 3.11 a 332-term sum could not be
+# pickled).
+MAX_DEPTH = 100
+
 _UNARY_FUNCS = ("exp", "cos", "sin", "pospart")
 _PARAM_FUNCS = ("phi_bump", "psi_getoor", "indicator_box")
 _FUNC_ARITY = {**{f: 1 for f in _UNARY_FUNCS}, "norm2": 0,
@@ -128,12 +138,16 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent over the grammar.  Each production returns its node
+    and its depth, the levels on its deepest path."""
+
     def __init__(self, src: str, d: int, time: bool):
         self.src = src
         self.d = d
         self.time = time
         self.tokens = _tokenize(src)
         self.i = 0
+        self.open = 0   # levels open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -150,8 +164,24 @@ class _Parser:
                              offset, expected=(text,))
         return self.advance()
 
+    def level(self, depth, offset):
+        """``depth`` + 1, the depth of a level at ``offset`` over parts
+        ``depth`` deep: a ParseError beyond MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} levels",
+                             offset, expected=(f"at most {MAX_DEPTH} levels",))
+        return depth + 1
+
+    @contextlib.contextmanager
+    def opened(self, offset):
+        """A level opened at ``offset`` around what the body parses, so that
+        the parser's own recursion stops at MAX_DEPTH open levels."""
+        self.open = self.level(self.open, offset)
+        yield
+        self.open -= 1
+
     def parse(self):
-        ast = self.expr()
+        ast, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", offset,
@@ -159,54 +189,63 @@ class _Parser:
         return ast
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
+            _, op, offset = self.advance()
+            right, rdepth = self.term()
+            node = BinOp(op, node, right)
+            depth = self.level(max(depth, rdepth), offset)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
+            _, op, offset = self.advance()
+            right, rdepth = self.factor()
+            node = BinOp(op, node, right)
+            depth = self.level(max(depth, rdepth), offset)
+        return node, depth
 
     def factor(self):
-        node = self.unary()
-        if self.peek()[1] == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
+        node, depth = self.unary()
+        if self.peek()[1] != "^":
+            return node, depth
+        offset = self.advance()[2]
+        with self.opened(offset):
+            right, rdepth = self.factor()
+        return BinOp("^", node, right), self.level(max(depth, rdepth), offset)
 
     def unary(self):
-        if self.peek()[1] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.atom()
+        if self.peek()[1] != "-":
+            return self.atom()
+        offset = self.advance()[2]
+        with self.opened(offset):
+            arg, depth = self.unary()
+        return Neg(arg), self.level(depth, offset)
 
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(float(value))
+            return Const(float(value)), 0
         if value == "(":
-            node = self.expr()
+            with self.opened(offset):
+                node, depth = self.expr()
             self.expect(")")
-            return node
+            return node, self.level(depth, offset)
         if kind == "name":
             if value == "t":
                 if not self.time:
                     raise ParseError("t is not allowed here: a terminal "
                                      "condition is a function of x alone",
                                      offset, expected=("x<j>",))
-                return VarT()
+                return VarT(), 0
             m = re.fullmatch(r"x(\d+)", value)
             if m:
                 j = int(m.group(1))
                 if not 1 <= j <= self.d:
                     raise DimensionError(
                         f"coordinate x{j} exceeds dimension d={self.d}")
-                return VarX(j)
+                return VarX(j), 0
             if value in _FUNC_ARITY:
                 return self.call(value, offset)
             raise UnknownIdentifierError(f"unknown identifier {value!r}", offset,
@@ -217,20 +256,24 @@ class _Parser:
     def call(self, name, offset):
         self.expect("(")
         args = []
-        if self.peek()[1] != ")":
-            args.append(self.expr())
-            while self.peek()[1] == ",":
-                self.advance()
+        with self.opened(offset):
+            if self.peek()[1] != ")":
                 args.append(self.expr())
+                while self.peek()[1] == ",":
+                    self.advance()
+                    args.append(self.expr())
         self.expect(")")
         arity = _FUNC_ARITY[name]
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}",
                              offset, expected=(f"{arity} arguments",))
+        depth = self.level(max((depth for _, depth in args), default=0),
+                           offset)
+        args = tuple(node for node, _ in args)
         if name in _PARAM_FUNCS:
             # parameters must be numeric (possibly negated) constants
             args = tuple(Const(_const_value(a, name, offset)) for a in args)
-        return Call(name, tuple(args))
+        return Call(name, args), depth
 
 
 def _const_value(node, name, offset):
@@ -244,7 +287,8 @@ def _const_value(node, name, offset):
 
 def parse_expression(src: str, d: int, time: bool = True):
     """Parse ``src`` into an AST; coordinates are validated against ``d``,
-    and ``t`` is a ParseError unless ``time``."""
+    and ``t`` is a ParseError unless ``time``, as is nesting more than
+    MAX_DEPTH levels."""
     if d < 1:
         raise DimensionError(f"dimension must be positive, got {d}")
     return _Parser(src, d, time).parse()

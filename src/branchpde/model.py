@@ -209,6 +209,13 @@ class ExpressionTerminal:
 # --------------------------------------------------------------------------
 
 
+# The floats a grown batch of trees may store, d + 4 a particle (its
+# displacement, tree, weight, death time and kind): 500 MB.  Burgers-cosine
+# at d = 1050, whose evaluation also copies its leaves' displacements, runs
+# one 25k-tree batch (6.2e7 floats) within a 2 GiB address space.
+MAX_BATCH_FLOATS = 62_500_000
+
+
 @dataclass(frozen=True)
 class PolynomialNonlinearity:
     """f(t,x,y,z) = sum_l c_l(t,x) y^(l_0) prod_i z_i^(l_i) over l in L_m."""
@@ -225,6 +232,10 @@ class PolynomialNonlinearity:
             if len(l) != self.m + 1 or any(v < 0 for v in l):
                 raise DomainError(f"multi-index {l} must have {self.m + 1} "
                                   "non-negative entries")
+        # the child marks of every category are laid out in one array
+        if sum(map(sum, self.indices)) > MAX_BATCH_FLOATS:
+            raise DomainError(f"the multi-indices sum to more than "
+                              f"{MAX_BATCH_FLOATS} children")
         if not len(self.indices) == len(self.coeffs) == len(self.coeff_sup):
             raise DomainError("indices, coeffs and coeff_sup must align")
         if not all(sup >= 0.0 for sup in self.coeff_sup):

@@ -33,15 +33,16 @@ def gamma_reflected(p: float) -> float:
     """Signed gamma for negative non-integer p, via the reflection formula.
 
     Needed for the Gamma(-a/2) factor of the exterior branch; callers wanting
-    the absolute value take abs() themselves.
+    the absolute value take abs() themselves.  DomainError where Gamma(p) or
+    Gamma(1 - p) overflows.
     """
     if not math.isfinite(p):
         raise DomainError(f"gamma_reflected requires finite p, got {p}")
     if p > 0.0:
-        return math.gamma(p)
+        return gamma_fn(p)
     if p == math.floor(p):
         raise DomainError(f"gamma undefined at non-positive integer {p}")
-    return math.pi / (math.sin(math.pi * p) * math.gamma(1.0 - p))
+    return math.pi / (math.sin(math.pi * p) * gamma_fn(1.0 - p))
 
 
 def upper_reg_gamma(delta: float, z) -> float:
@@ -83,7 +84,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
             if s <= 0.0:
                 raise DomainError(
                     f"hyp2f1 diverges at z=1 when c-a-b <= 0 (got {s})")
-            return (gamma_fn(c) * gamma_fn(s)
+            return (gamma_reflected(c) * gamma_fn(s)
                     / (gamma_reflected(c - a) * gamma_reflected(c - b)))
         if not -1.0 <= z < 1.0:
             raise DomainError(f"hyp2f1: z must lie in [-1, 1], got {z}")
@@ -226,13 +227,17 @@ def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndar
 
     Requires c - a - b non-integer and no Gamma pole among c - a, c - b, a
     and b; the exterior branch of Psi has c - a - b = k - alpha/2 with alpha
-    in (0, 2).
+    in (0, 2).  DomainError where one of its Gamma values overflows.
     """
     w = 1.0 - z
     s = c - a - b
     g = math.gamma
-    coef1 = g(c) * g(s) / (g(c - a) * g(c - b))
-    coef2 = g(c) * gamma_reflected(-s) / (g(a) * g(b))
+    try:
+        coef1 = g(c) * g(s) / (g(c - a) * g(c - b))
+        coef2 = g(c) * gamma_reflected(-s) / (g(a) * g(b))
+    except OverflowError:
+        raise DomainError(f"hyp2f1({a}, {b}, {c}, z): a Gamma value of the "
+                          "connection formula overflows") from None
     f1 = _series_2f1_vec(a, b, 1.0 - s, w)
     f2 = _series_2f1_vec(c - a, c - b, 1.0 + s, w)
     return coef1 * f1 + coef2 * w ** s * f2

@@ -32,6 +32,10 @@ LINEAR_CFG = {"model": "linear-test", "alpha": 1.5, "c": 0.8, "t": 0.5,
               "T": 1.0, "n_trees": 20_000, "seed": 3}
 _INLINE = {"d": 1, "indices": [[1]], "coeffs": [1.0], "coeff_sup": [1.0],
            "terminal": {"expr": "1", "sup": 1.0}}
+# a terminal 0.001 (x1 + ... + x1200), 1201 levels deep
+_DEEP = {**_INLINE, "d": 1200, "terminal": {
+    "expr": f"0.001 * ({' + '.join(f'x{j}' for j in range(1, 1201))})",
+    "sup": 1.0}}
 
 
 def _run_capped(command, cfg, *args):
@@ -366,6 +370,20 @@ class TestConfigErrors:
         ("estimate", {"model": "burgers-cosine", "d": 2000}, EXIT_OK),
         ("estimate", {"model": "linear-test", "d": 20_000}, EXIT_OK),
         ("estimate", {"model": "linear-test", "d": 200_000}, EXIT_OK),
+        # one 25k-tree batch past MAX_BATCH_FLOATS, d + 4 floats a particle:
+        # while it grows, or at its roots
+        ("estimate", {"model": "burgers-cosine", "d": 2000,
+                      "n_trees": 25_000}, EXIT_BUDGET),
+        ("estimate", {"model": "linear-test", "d": 200_000,
+                      "n_trees": 25_000}, EXIT_CONFIG),
+        # deeper than expressions.MAX_DEPTH
+        ("estimate", {"model": _DEEP}, EXIT_CONFIG),
+        ("check", {"model": _DEEP}, EXIT_CONFIG),
+        # more children than a batch can store
+        ("estimate", {"model": {**_INLINE, "indices": [[1_000_000_000]]}},
+         EXIT_CONFIG),
+        ("check", {"model": {**_INLINE, "indices": [[1_000_000_000]]}},
+         EXIT_CONFIG),
     ])
     def test_large_dimension_ends_typed_in_bounded_memory(
             self, tmp_path, command, model, code):
@@ -375,6 +393,19 @@ class TestConfigErrors:
         proc = _run_capped(command, cfg)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate"], ["estimate", "--config", "cfg.json", "--n-trees", "abc"]])
+    def test_usage_error_exit_3(self, argv, capsys):
+        # argparse's own exit code, 2, is the budget-abort code
+        assert main(argv) == EXIT_CONFIG
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_non_integer_threads_env(self, tmp_path, monkeypatch, capsys):
         cfg = _write_cfg(tmp_path, "cfg.json", LINEAR_CFG)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main, resolve_model
-from branchpde.engine import (BATCH_TREES, MAX_BATCH_PARTICLES,
+from branchpde.engine import (BATCH_TREES, MAX_BATCH_FLOATS,
                               EstimatorResult, Grid, TreeBudget, _evaluate,
                               _grow_skeleton, _plan, _values, estimate,
                               estimate_gradient_all, resolve_workers)
@@ -679,19 +679,20 @@ class TestBudgets:
             TreeBudget(max_particles=0)
 
     def test_batch_particle_ceiling(self, tmp_path, capsys, deadline):
-        # Gamma(0.01) lifetimes give a linear-test tree about 100 particles
-        # per 0.5 of horizon, so over T - t = 4 one 25k-tree batch would
-        # store ~2e7, ten times the ceiling, while no single tree comes near
-        # the per-tree budget
+        # Gamma(0.01) lifetimes give a linear-test tree about 450 particles
+        # over a horizon of 4, so over T - t = 8 one 25k-tree batch would
+        # store ~2.2e7 particles, 1.1e8 floats at d + 4 = 5 a particle (1.8
+        # times the ceiling), while no single tree comes near the per-tree
+        # budget
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "model": "linear-test", "delta": 0.01, "t": 0.0, "T": 4.0,
+            "model": "linear-test", "delta": 0.01, "t": 0.0, "T": 8.0,
             "n_trees": BATCH_TREES}))
         with deadline(30.0):
             code = main(["estimate", "--config", str(cfg)])
         assert code == EXIT_BUDGET
-        assert f"more than {MAX_BATCH_PARTICLES} particles" in \
-            capsys.readouterr().err
+        assert f"at d = 1 would store more than {MAX_BATCH_FLOATS} floats" \
+            in capsys.readouterr().err
 
 
 class TestZeroFraction:

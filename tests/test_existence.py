@@ -82,18 +82,9 @@ class TestTheorem2:
 
     def test_cond_rho(self):
         ok = check_theorem2(ScaledStable(alpha=1.5), delta=1.9, p=2.0, T=1.0)
-        assert ok.cond_rho and math.isfinite(ok.rho_integral)
+        assert ok.cond_rho
         div = check_theorem2(ScaledStable(alpha=1.5), delta=2.5, p=2.0, T=1.0)
-        assert not div.cond_rho and math.isinf(div.rho_integral)
-
-    def test_rho_integral_oracle(self):
-        delta, p, T = 0.5, 2.0, 1.0
-        gd = math.gamma(delta)
-        exact, _ = integrate.quad(
-            lambda s: (s ** (delta - 1.0) * math.exp(-s) / gd) ** (1.0 - p),
-            0.0, T)
-        chk = check_theorem2(ScaledStable(alpha=1.5), delta=delta, p=p, T=T)
-        assert chk.rho_integral == pytest.approx(exact, rel=1e-7)
+        assert not div.cond_rho
 
     def test_relativistic_quadrature_converges(self):
         # eta grows like l^(alpha/2), so at p = 1 the inner integral of

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from branchpde.errors import (DimensionError, EvaluationError, ParseError,
                               UnknownIdentifierError)
-from branchpde.expressions import (BinOp, Box, Call, Const, Folded, Neg, VarT,
-                                   VarX, eval_expression, fold_expression,
-                                   parse_expression)
+from branchpde.expressions import (MAX_DEPTH, BinOp, Box, Call, Const, Folded,
+                                   Neg, VarT, VarX, eval_expression,
+                                   fold_expression, parse_expression)
 from branchpde.model import ExpressionTerminal
 from branchpde.specfun import phi_bump, psi_getoor
 
@@ -157,6 +158,30 @@ class TestParse:
             parse_expression("exp(1, 2)", 1)
         with pytest.raises(ParseError):
             parse_expression("phi_bump(1)", 1)
+
+    # (source, d) of an expression n levels deep
+    _NESTED = {
+        "sum": lambda n: (" + ".join(f"x{j}" for j in range(1, n + 2)),
+                          n + 1),
+        "signs": lambda n: ("-" * n + "x1", 1),
+        "parentheses": lambda n: ("(" * n + "x1" + ")" * n, 1),
+        "power": lambda n: (" ^ ".join(["x1"] * (n + 1)), 1),
+        "calls": lambda n: ("cos(" * n + "x1" + ")" * n, 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(_NESTED))
+    def test_depth_limit(self, shape):
+        """MAX_DEPTH levels parse, evaluate, fold and pickle; one more
+        level, or 1200, which overflowed the stack, is a ParseError."""
+        src, d = self._NESTED[shape](MAX_DEPTH)
+        ast = parse_expression(src, d)
+        x = np.full((2, d), 0.5)
+        assert np.all(np.isfinite(eval_expression(ast, 0.0, x)))
+        fold_expression(ast, 0.0, x[:, 1:], 1)
+        assert pickle.loads(pickle.dumps(ast)) == ast
+        for n in (MAX_DEPTH + 1, 1200):
+            with pytest.raises(ParseError, match="nests more than"):
+                parse_expression(*self._NESTED[shape](n))
 
     def test_nonconstant_param(self):
         with pytest.raises(ParseError):

@@ -33,6 +33,10 @@ class TestGamma:
         assert gamma_fn(171.6) == math.gamma(171.6)
         with pytest.raises(DomainError, match="overflows"):
             gamma_fn(171.7)
+        # Gamma(1 - p), or Gamma(p) itself, leaves the float range
+        for p in (-180.5, 200.0):
+            with pytest.raises(DomainError, match="overflows"):
+                gamma_reflected(p)
 
     def test_reflected_negative(self):
         # Gamma(-1/2) = -2 sqrt(pi)
@@ -82,6 +86,9 @@ class TestHyp2f1:
         val = gamma_fn(2.0) * gamma_fn(1.0) / gamma_fn(1.5) ** 2
         assert hyp2f1(0.5, 0.5, 2.0, 1.0) == pytest.approx(val, rel=1e-10)
         assert hyp2f1(0.5, 0.5, 2.0, 1.0) == pytest.approx(1.2732395, rel=1e-7)
+        # a negative c: Gamma(-0.5) Gamma(2.5) / (Gamma(1) Gamma(1)) = -3 pi / 2
+        assert hyp2f1(-1.5, -1.5, -0.5, 1.0) == pytest.approx(-1.5 * math.pi,
+                                                               rel=1e-14)
 
     def test_terminating_exact(self):
         # 2F1(a, -2; c; z) = 1 - 2az/c + a(a+1) z^2 / (c(c+1))
@@ -89,6 +96,11 @@ class TestHyp2f1:
         exact = 1.0 - 2.0 * a * z / c + a * (a + 1.0) * z * z / (c * (c + 1.0))
         assert hyp2f1(a, -2.0, c, z) == exact
         assert hyp2f1(-2.0, a, c, z) == exact  # symmetry swap
+
+    def test_connection_overflow_is_typed(self):
+        # z > 0.9 takes the connection formula, whose Gamma(250.5) overflows
+        with pytest.raises(DomainError, match="overflows"):
+            hyp2f1(200.0, 1.0, 250.5, 0.95)
 
     def test_divergent_at_one(self):
         with pytest.raises(DomainError):
