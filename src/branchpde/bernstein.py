@@ -4,7 +4,9 @@ Each family evaluates its closed-form Laplace exponent; the convergence test
 for the tail integral of 1/(eta(lambda) sqrt(lambda)) is decided by fitting
 the decay exponent of the integrand on a geometric grid, with a guard band
 around the critical exponent -1 so borderline cases surface as inconclusive
-rather than as a silent verdict.
+rather than as a silent verdict.  For eta ~ lambda^beta the fitted slope is
+-beta - 1/2, which is all the Theorem-2 check needs of eta.
+``neg_moment_numeric`` is the one quadrature of the Laplace transform.
 
 Levy triplet notes (documentation only): the stable family has drift b = 0
 and Levy measure  nu(dx) = alpha 2^(alpha/2-1) / Gamma(1-alpha/2) x^(-1-alpha/2) dx;
@@ -161,12 +163,10 @@ class IntegrabilityVerdict:
 _EXPONENT_GUARD = 0.01
 
 
-def fit_decay_exponent(x, y) -> tuple[float, bool]:
-    """The least-squares slope of log y against log x, and whether it lies
-    within _EXPONENT_GUARD of -1, where the verdict it decides is
-    inconclusive."""
-    slope = float(np.polyfit(np.log(x), np.log(y), 1)[0])
-    return slope, abs(slope + 1.0) <= _EXPONENT_GUARD
+def near_critical(exponent: float) -> bool:
+    """Whether a decay exponent lies within _EXPONENT_GUARD of -1, where the
+    convergence verdict it decides is inconclusive."""
+    return abs(exponent + 1.0) <= _EXPONENT_GUARD
 
 
 def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> IntegrabilityVerdict:
@@ -184,7 +184,9 @@ def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> Integrabi
     integrand = 1.0 / (vals * np.sqrt(grid))
     # fit on the last two decades, where sub-leading terms are negligible
     tail = grid >= 1e7
-    slope, inconclusive = fit_decay_exponent(grid[tail], integrand[tail])
+    slope = float(np.polyfit(np.log(grid[tail]), np.log(integrand[tail]),
+                             1)[0])
+    inconclusive = near_critical(slope)
     return IntegrabilityVerdict(converges=slope < -1.0 and not inconclusive,
                                 fitted_exponent=slope,
                                 inconclusive=inconclusive)
@@ -252,15 +254,22 @@ def neg_moment_stable(p: float, alpha: float, t: float) -> float:
             / (alpha * t ** (2.0 * p / alpha) * gamma_fn(p)))
 
 
-def laplace_power_integral(eta: LaplaceExponent, t: float, q: float,
-                           rel_tol: float) -> float:
-    """int_0^inf exp(-t eta(l)) l^(q-1) dl by split quadrature in u = log l.
+def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
+                       rel_tol: float = 1e-10) -> float:
+    """E[S_t^(-p)] = (1/Gamma(p)) int_0^inf exp(-t eta(l)) l^(p-1) dl by split
+    quadrature in u = log l.
 
-    Bisects (geometrically, on [1e-12, 1e14]) for the scale where t eta = 1,
-    then integrates exp(-t eta(l) + q log l) du over the head (-inf, u*] and
-    over 80 e-folds of tail; in u the l^(q-1) singularity at 0 is a smooth
-    exponential decay.
+    Raises DivergenceError if eta does not grow on a probe grid fast enough
+    for the integrand to decay.  Otherwise bisects (geometrically, on
+    [1e-12, 1e14]) for the scale where t eta = 1, then integrates
+    exp(-t eta(l) + p log l) du over the head (-inf, u*] and over 80 e-folds
+    of tail; in u the l^(p-1) singularity at 0 is a smooth exponential decay.
     """
+    if p <= 0.0 or t <= 0.0:
+        raise DomainError("neg_moment_numeric requires p > 0 and t > 0")
+    probe = eta(np.geomspace(1e3, 1e12, 10))
+    if t * probe[-1] < 50.0 or np.any(np.diff(probe) < 0.0):
+        raise DivergenceError("integrand tail does not decay: eta grows too slowly")
     lo, hi = 1e-12, 1e14
     for _ in range(200):
         mid = math.sqrt(lo * hi)
@@ -271,25 +280,10 @@ def laplace_power_integral(eta: LaplaceExponent, t: float, q: float,
     u_star = math.log(math.sqrt(lo * hi))
 
     def integrand(u):
-        return math.exp(q * u - t * float(eta(math.exp(u))))
+        return math.exp(p * u - t * float(eta(math.exp(u))))
 
     head, _ = _integrate.quad(integrand, -math.inf, u_star,
                               epsabs=0.0, epsrel=rel_tol, limit=400)
     tail, _ = _integrate.quad(integrand, u_star, u_star + 80.0,
                               epsabs=1e-300, epsrel=rel_tol, limit=400)
-    return head + tail
-
-
-def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
-                       rel_tol: float = 1e-10) -> float:
-    """E[S_t^(-p)] = (1/Gamma(p)) int_0^inf exp(-t eta(l)) l^(p-1) dl by quadrature.
-
-    Raises DivergenceError if eta does not grow on a probe grid fast enough
-    for the integrand to decay.
-    """
-    if p <= 0.0 or t <= 0.0:
-        raise DomainError("neg_moment_numeric requires p > 0 and t > 0")
-    probe = eta(np.geomspace(1e3, 1e12, 10))
-    if t * probe[-1] < 50.0 or np.any(np.diff(probe) < 0.0):
-        raise DivergenceError("integrand tail does not decay: eta grows too slowly")
-    return laplace_power_integral(eta, t, p, rel_tol) / gamma_fn(p)
+    return (head + tail) / gamma_fn(p)

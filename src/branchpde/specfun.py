@@ -84,8 +84,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
             if s <= 0.0:
                 raise DomainError(
                     f"hyp2f1 diverges at z=1 when c-a-b <= 0 (got {s})")
-            return (gamma_reflected(c) * gamma_fn(s)
-                    / (gamma_reflected(c - a) * gamma_reflected(c - b)))
+            value = (gamma_reflected(c) * gamma_fn(s)
+                     / (gamma_reflected(c - a) * gamma_reflected(c - b)))
+            if not math.isfinite(value):
+                raise DomainError(f"hyp2f1({a}, {b}, {c}, 1): a product of "
+                                  "Gamma values overflows")
+            return value
         if not -1.0 <= z < 1.0:
             raise DomainError(f"hyp2f1: z must lie in [-1, 1], got {z}")
     return float(_hyp2f1_vec(a, b, c, np.array([z]))[0])
@@ -227,7 +231,8 @@ def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndar
 
     Requires c - a - b non-integer and no Gamma pole among c - a, c - b, a
     and b; the exterior branch of Psi has c - a - b = k - alpha/2 with alpha
-    in (0, 2).  DomainError where one of its Gamma values overflows.
+    in (0, 2).  DomainError where one of its Gamma values, or a product of
+    them, overflows.
     """
     w = 1.0 - z
     s = c - a - b
@@ -235,9 +240,13 @@ def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndar
     try:
         coef1 = g(c) * g(s) / (g(c - a) * g(c - b))
         coef2 = g(c) * gamma_reflected(-s) / (g(a) * g(b))
+        finite = math.isfinite(coef1) and math.isfinite(coef2)
     except OverflowError:
+        finite = False
+    if not finite:
         raise DomainError(f"hyp2f1({a}, {b}, {c}, z): a Gamma value of the "
-                          "connection formula overflows") from None
+                          "connection formula, or a product of them, "
+                          "overflows")
     f1 = _series_2f1_vec(a, b, 1.0 - s, w)
     f2 = _series_2f1_vec(c - a, c - b, 1.0 + s, w)
     return coef1 * f1 + coef2 * w ** s * f2

@@ -394,6 +394,26 @@ class TestConfigErrors:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, doc, codes", [
+        # powers of sup |c_l|, |phi| and 2 beyond the float range read as
+        # infinite, and an overflowing Gamma is a DomainError
+        (["check"], {"model": "nld", "d": 2, "p": 200}, (3, 4)),
+        (["check"], {"model": "nld", "d": 2, "p": 1000}, (3, 4)),
+        (["check"], {"model": "nld", "d": 2, "p": 1e6}, (3, 4)),
+        (["check"], {"model": {**_INLINE, "indices": [[2]],
+                               "coeff_sup": [50.0]}, "p": 250}, (3, 4)),
+        (["check"], {"model": "nld", "d": 2, "p": math.inf}, (3,)),
+        (["estimate", "--strict"], {"model": "nld", "d": 2, "p": 200},
+         (3, 4)),
+    ], ids=["nld-200", "nld-1000", "nld-1e6", "inline-250", "nld-inf",
+            "strict-200"])
+    def test_large_p_ends_typed(self, tmp_path, argv, doc, codes):
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "alpha": 1.5, "t": 0.9, "T": 1.0, "n_trees": 100, **doc})
+        proc = _run_capped(argv[0], cfg, *argv[1:])
+        assert proc.returncode in codes, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["estimate"], ["estimate", "--config", "cfg.json", "--n-trees", "abc"]])
     def test_usage_error_exit_3(self, argv, capsys):

@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from branchpde.bernstein import Relativistic, ScaledStable
+from branchpde.bernstein import (BetaRatio, LaplaceExponent, Relativistic,
+                                 ScaledStable)
 from branchpde.errors import (AdmissibilityError, DomainError,
                               NotLipschitzError)
 from branchpde.existence import (HorizonReport, abs_gaussian_moment,
@@ -55,6 +57,18 @@ class TestGaussianMoment:
         with pytest.raises(DomainError):
             abs_gaussian_moment(0.0)
 
+    def test_overflowing_power_reads_infinite(self):
+        assert abs_gaussian_moment(1e6) == math.inf
+        assert abs_gaussian_moment(1100.0, paper_literal=True) == math.inf
+
+
+@dataclass(frozen=True)
+class _Bounded(LaplaceExponent):
+    """eta(lambda) = 1 - exp(-lambda): a subordinator that does not grow."""
+
+    def _eval(self, lam):
+        return -np.expm1(-lam)
+
 
 class TestTheorem2:
     def test_exponent_value(self):
@@ -63,6 +77,16 @@ class TestTheorem2:
         assert chk.eta_exponent == pytest.approx(-5.0 / 6.0, abs=5e-3)
         assert chk.cond_eta and chk.cond_rho and chk.cd_check
         assert not chk.inconclusive
+        # the closed form holds far from the thresholds too, warning-free
+        for alpha in (1.2, 1.5, 2.0):
+            for delta in (0.3, 1.0, 5.0):
+                for p in (1.0, 2.0, 30.0):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        chk = check_theorem2(ScaledStable(alpha=alpha),
+                                             delta=delta, p=p, T=1.0)
+                    assert chk.eta_exponent == pytest.approx(
+                        (1.0 - delta) * (p - 1.0) - p / alpha, abs=1e-9)
 
     def test_cond_eta_threshold(self):
         # delta < 2 - 2/alpha at p = 2
@@ -86,22 +110,30 @@ class TestTheorem2:
         div = check_theorem2(ScaledStable(alpha=1.5), delta=2.5, p=2.0, T=1.0)
         assert not div.cond_rho
 
-    def test_relativistic_quadrature_converges(self):
-        # eta grows like l^(alpha/2), so at p = 1 the inner integral of
-        # exp(-s eta) l^(-1/2) scales like s^(-1/alpha) as s -> 0
+    @pytest.mark.parametrize("eta, beta", [
+        (Relativistic(alpha=1.5, m=1.0), 0.75),
+        (BetaRatio(mu=0.45), 0.55),
+    ], ids=["relativistic", "beta-ratio"])
+    def test_exponent_reads_the_growth_index(self, eta, beta):
+        # eta grows like l^beta, so at p = 1 the inner integral of
+        # exp(-s eta) l^(-1/2) scales like s^(-1/(2 beta)) as s -> 0
         for delta in (0.3, 0.5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                chk = check_theorem2(Relativistic(alpha=1.5, m=1.0),
-                                     delta=delta, p=1.0, T=1.0)
-            assert chk.eta_exponent == pytest.approx(-1.0 / 1.5, abs=5e-3)
+            chk = check_theorem2(eta, delta=delta, p=1.0, T=1.0)
+            assert chk.eta_exponent == pytest.approx(-0.5 / beta, abs=5e-3)
             assert chk.cond_eta and not chk.inconclusive
+
+    def test_bounded_eta_diverges(self):
+        # the inner integral of exp(-s eta) l^(p/2-1) is infinite at every s
+        chk = check_theorem2(_Bounded(), delta=0.5, p=1.0, T=1.0)
+        assert chk.eta_exponent < -1.0
+        assert not chk.cond_eta and not chk.cd_check
 
     def test_domain(self):
         with pytest.raises(DomainError):
             check_theorem2(ScaledStable(alpha=1.5), delta=0.0, p=2.0, T=1.0)
-        with pytest.raises(DomainError):
-            check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=0.5, T=1.0)
+        for p in (0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=p, T=1.0)
 
 
 class TestHorizonBoundA:
@@ -154,6 +186,11 @@ class TestHorizonBoundA:
         with pytest.raises(NotLipschitzError):
             horizon_bound_a(model, 2.0, 0.1)
 
+    def test_overflowing_power_reads_infinite(self):
+        # |phi|^p = 10^320 is beyond the float range: no certificate
+        _, ratio, cert = horizon_bound_a(_toy_model(phi_sup=10.0), 320.0, 0.05)
+        assert ratio == math.inf and not cert
+
     def test_paper_literal_changes_lipschitz_term(self):
         # with a dominant Lipschitz term the ratio scales by M_p'/M_p = 3
         model = _toy_model(phi_sup=0.1, lipschitz=5.0)
@@ -174,6 +211,13 @@ class TestHorizonBoundB:
         model = builtin_model("nld", d=1, alpha=1.5, k=1)
         c_tilde, bound, cert = horizon_bound_b(model, p=2.0, T=0.5)
         assert math.isinf(c_tilde) and bound == 0.0 and not cert
+
+    def test_underflowed_c_tilde_refuses(self):
+        # sup|c|^(p-1) = 0.01^169 underflows to 0, so C_tilde cannot divide
+        model = _toy_model(c=0.01, phi_sup=10.0, alpha=2.0, delta=0.1,
+                           indices=((1,), (2,)))
+        c_tilde, bound, cert = horizon_bound_b(model, p=170.0, T=1e-3)
+        assert c_tilde == 0.0 and bound == 0.0 and not cert
 
     def test_finite_bound_oracle(self):
         # alpha = 2, p = 3, delta = 0.2 <= 1 - p/(alpha(p-1)) keeps C_tilde

@@ -101,6 +101,11 @@ class TestHyp2f1:
         # z > 0.9 takes the connection formula, whose Gamma(250.5) overflows
         with pytest.raises(DomainError, match="overflows"):
             hyp2f1(200.0, 1.0, 250.5, 0.95)
+        # each Gamma value is finite but a product of them is not (scipy
+        # gives 6.2162 at z = 0.95; the Gauss sum at z = 1 is 8.69)
+        for z in (0.95, 1.0):
+            with pytest.raises(DomainError, match="overflows"):
+                hyp2f1(150.0, 1.0, 170.5, z)
 
     def test_divergent_at_one(self):
         with pytest.raises(DomainError):
