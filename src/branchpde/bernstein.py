@@ -169,23 +169,19 @@ def near_critical(exponent: float) -> bool:
     return abs(exponent + 1.0) <= _EXPONENT_GUARD
 
 
-def check_integrability_cd(eta: LaplaceExponent, lam0: float = 1.0) -> IntegrabilityVerdict:
-    """Decide convergence of the tail integral of 1/(eta(l) sqrt(l)) from lam0.
+def check_integrability_cd(eta: LaplaceExponent) -> IntegrabilityVerdict:
+    """Decide convergence of the tail integral of 1/(eta(l) sqrt(l)).
 
-    The integrand's decay exponent is fitted on the top decades of a geometric
-    grid up to 1e9; convergence requires the fit below -1 - guard.  Within the
-    guard band of -1 the verdict is flagged inconclusive (and conservatively
-    reported as non-convergent).
+    The integrand's decay exponent is fitted on the top two decades, where
+    sub-leading terms are negligible, of a 400-point geometric grid on
+    [1, 1e9]; eta is evaluated only there.  Convergence requires the fit
+    below -1 - guard.  Within the guard band of -1 the verdict is flagged
+    inconclusive (and conservatively reported as non-convergent).
     """
-    if lam0 <= 0.0:
-        raise DomainError("lam0 must be positive")
-    grid = np.geomspace(lam0, 1e9, 400)
-    vals = eta(grid)
-    integrand = 1.0 / (vals * np.sqrt(grid))
-    # fit on the last two decades, where sub-leading terms are negligible
-    tail = grid >= 1e7
-    slope = float(np.polyfit(np.log(grid[tail]), np.log(integrand[tail]),
-                             1)[0])
+    grid = np.geomspace(1.0, 1e9, 400)
+    tail = grid[grid >= 1e7]
+    integrand = 1.0 / (eta(tail) * np.sqrt(tail))
+    slope = float(np.polyfit(np.log(tail), np.log(integrand), 1)[0])
     inconclusive = near_critical(slope)
     return IntegrabilityVerdict(converges=slope < -1.0 and not inconclusive,
                                 fitted_exponent=slope,
@@ -244,18 +240,23 @@ def neg_moment_stable(p: float, alpha: float, t: float) -> float:
     """Closed-form E[S_t^(-p)] for the alpha/2-stable subordinator.
 
     2^(1-p) Gamma(2p/alpha) / (alpha t^(2p/alpha) Gamma(p)); at alpha = 2 this
-    reduces to (2t)^(-p), the deterministic subordinator S_t = 2t.
+    reduces to (2t)^(-p), the deterministic subordinator S_t = 2t.  It is one
+    exponential of a log-Gamma difference, so a value beyond the float range
+    reads as infinite and a finite one stays finite.
     """
-    if p <= 0.0 or t <= 0.0:
-        raise DomainError("neg_moment_stable requires p > 0 and t > 0")
+    if not (0.0 < p < math.inf and t > 0.0):
+        raise DomainError("neg_moment_stable requires finite p > 0 and t > 0")
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    return (2.0 ** (1.0 - p) * gamma_fn(2.0 * p / alpha)
-            / (alpha * t ** (2.0 * p / alpha) * gamma_fn(p)))
+    q = 2.0 * p / alpha
+    try:
+        return math.exp((1.0 - p) * math.log(2.0) + math.lgamma(q)
+                        - math.lgamma(p) - math.log(alpha) - q * math.log(t))
+    except OverflowError:
+        return math.inf
 
 
-def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
-                       rel_tol: float = 1e-10) -> float:
+def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float) -> float:
     """E[S_t^(-p)] = (1/Gamma(p)) int_0^inf exp(-t eta(l)) l^(p-1) dl by split
     quadrature in u = log l.
 
@@ -283,7 +284,7 @@ def neg_moment_numeric(eta: LaplaceExponent, p: float, t: float,
         return math.exp(p * u - t * float(eta(math.exp(u))))
 
     head, _ = _integrate.quad(integrand, -math.inf, u_star,
-                              epsabs=0.0, epsrel=rel_tol, limit=400)
+                              epsabs=0.0, epsrel=1e-10, limit=400)
     tail, _ = _integrate.quad(integrand, u_star, u_star + 80.0,
-                              epsabs=1e-300, epsrel=rel_tol, limit=400)
+                              epsabs=1e-300, epsrel=1e-10, limit=400)
     return (head + tail) / gamma_fn(p)

@@ -13,7 +13,8 @@ Two routes are evaluated:
 
 * route b: T < (1 / C_tilde(T)) * integral from C_partial / survival(T)^(p-1)
   to infinity of (sum_l |c_l| x^|l|)^(-1) dx, with C_tilde built like C_circ
-  but with exponent p-1 on the rho and q_min factors.
+  but with exponent p-1 on the rho and q_min factors; one quadrature in
+  u = log x gives the integral.
 
 The Theorem-2 condition on eta reads eta's growth index from the (C-D) tail
 fit, in closed form: no quadrature is run (see check_theorem2).
@@ -22,7 +23,8 @@ The gamma lifetime density makes the sups over s in (0, T] closed-form: the
 function s^b e^(cs) attains its sup at s = T when b >= 0 and is unbounded at
 s -> 0+ when b < 0.  At a long horizon a sup that overflows, or a
 survival(T)^p that underflows to 0, reads as infinite, so the route does
-not certify.
+not certify.  So does a Gamma ratio beyond the float range, taken as one
+exponential of log-Gamma terms: a large p ends in a verdict.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ from .specfun import gamma_fn, upper_reg_gamma
 
 
 def abs_gaussian_moment(p: float, paper_literal: bool = False) -> float:
-    """E|N(0,1)|^p.  The standard value is 2^(p/2) Gamma((p+1)/2) / sqrt(pi);
-    ``paper_literal`` switches to the variant 2^p Gamma(p + 1/2) / sqrt(pi).
-    A power of 2 beyond the float range reads as infinite."""
+    """E|N(0,1)|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi); ``paper_literal``
+    switches to the variant 2^p Gamma(p + 1/2) / sqrt(pi).  Either is one
+    exponential of a log-Gamma sum, so a value beyond the float range reads
+    as infinite."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
+    s = p if paper_literal else p / 2.0
     try:
-        if paper_literal:
-            return 2.0 ** p * gamma_fn(p + 0.5) / math.sqrt(math.pi)
-        return (2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0)
-                / math.sqrt(math.pi))
+        return math.exp(s * math.log(2.0) + math.lgamma(s + 0.5)
+                        - 0.5 * math.log(math.pi))
     except OverflowError:
         return math.inf
 
@@ -103,39 +105,37 @@ def _gamma_sup(b: float, c: float, scale: float, T: float) -> float:
         return math.inf
 
 
-def _c_partial(model: PdeModel, p: float, paper_literal: bool) -> float:
+def _log_partial_ratio(model: PdeModel, p: float, e: float, T: float,
+                       paper_literal: bool) -> float:
+    """log(C_partial / survival(T)^e), summed in logs so that no factor
+    under- or overflows: -inf when phi = 0, and inf once survival(T)
+    underflows to 0, so that a long horizon is not certified."""
     lip = model.terminal.lipschitz
     if lip is None:
         raise NotLipschitzError(
             "terminal condition is flagged not Lipschitz; horizon bounds "
             "require a Lipschitz terminal condition")
-    m_p = abs_gaussian_moment(p, paper_literal)
-    try:
-        return max(model.terminal.sup_norm ** p,
-                   m_p * lip ** p * math.sqrt(model.d))
-    except OverflowError:
+    survival = upper_reg_gamma(model.lifetime.delta, T)
+    if survival == 0.0:
         return math.inf
-
-
-def _partial_ratio(model: PdeModel, p: float, e: float, T: float,
-                   paper_literal: bool) -> float:
-    """C_partial / survival(T)^e, infinite once survival(T)^e underflows
-    to 0, so that a long horizon is not certified."""
-    c_partial = _c_partial(model, p, paper_literal)
-    survival = upper_reg_gamma(model.lifetime.delta, T) ** e
-    return c_partial / survival if survival > 0.0 else math.inf
+    sup = model.terminal.sup_norm
+    logs = [p * math.log(sup) if sup else -math.inf]
+    if lip:
+        logs.append(math.log(abs_gaussian_moment(p, paper_literal))
+                    + p * math.log(lip) + 0.5 * math.log(model.d))
+    return max(logs) - e * math.log(survival)
 
 
 def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
     """C_circ (e = p) or C_tilde (e = p - 1), after validating p, T and alpha:
 
-        (sup_l |c_l| / q_min)^e * max(M kappa^(-p/a) sup s^(-p/a) / rho^e(s),
+        (sup_l |c_l| / q_min)^e * max(M sup s^(-p/a) / rho^e(s),
                                       sup 1 / rho^e(s)),
 
-    with M = E[S_1^(-p/2)] the unit-time negative moment of the stable
-    subordinator and the sups over (0, T].  A power beyond the float range
-    (or a q_min^e that underflows to 0) reads as infinite, so the route does
-    not certify.
+    with M = E[S_kappa^(-p/2)] = kappa^(-p/a) E[S_1^(-p/2)] the negative
+    moment of the stable subordinator and the sups over (0, T].  A power
+    beyond the float range (or a q_min^e that underflows to 0) reads as
+    infinite, so the route does not certify.
     """
     if not (p >= 1.0 and 0.0 < T < math.inf):
         raise DomainError("require p >= 1 and 0 < T < inf")
@@ -149,10 +149,9 @@ def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
         scale = gamma_fn(delta) ** e
         sup1 = _gamma_sup(e * (1.0 - delta) - p / alpha, e, scale, T)
         sup2 = _gamma_sup(e * (1.0 - delta), e, scale, T)
-        kappa_scale = model.kappa ** (-p / alpha)
         return (sup_c ** e / q_min ** e
-                * max(neg_moment_stable(p / 2.0, alpha, 1.0) * kappa_scale
-                      * sup1, sup2))
+                * max(neg_moment_stable(p / 2.0, alpha, model.kappa) * sup1,
+                      sup2))
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -166,8 +165,42 @@ def horizon_bound_a(model: PdeModel, p: float, T: float,
         raise AdmissibilityError(
             f"route a needs delta <= 1 - 1/alpha = {1.0 - 1.0 / alpha:.6g}, "
             f"got {delta}")
-    ratio = _partial_ratio(model, p, p, T, paper_literal)
+    try:
+        ratio = math.exp(_log_partial_ratio(model, p, p, T, paper_literal))
+    except OverflowError:
+        ratio = math.inf
     return c_circ, ratio, (c_circ <= 1.0 and ratio <= 1.0)
+
+
+def _tail_integral(terms, u_lo: float) -> float:
+    """Integral from e^u_lo to inf of dx / sum c x^o over the (sup, order)
+    ``terms``: one quadrature in u = log x of 1 / sum c e^((o-1)u), which
+    reads 0 once a term passes the float range.  An order-0 term c0 keeps
+    the integrand below e^u / c0 left of u_top, where the next term meets
+    c0 e^-u; what lies 40 e-folds further left, under len(terms) e^-40 of
+    the whole, is dropped so that quad sees the peak.  Without one the
+    integral diverges at u_lo = -inf.  An integrand beyond the float range
+    at its peak makes the integral infinite.
+    """
+    logs = [(math.log(c), o - 1.0) for c, o in terms]
+
+    def integrand(u):
+        try:
+            return 1.0 / sum(math.exp(lc + k * u) for lc, k in logs)
+        except OverflowError:
+            return 0.0
+        except ZeroDivisionError:
+            return math.inf
+
+    c0 = sum(c for c, o in terms if o == 0)
+    u_top = u_lo
+    if c0:
+        u_top = max(u_lo, min(math.log(c0 / c) / o for c, o in terms if o))
+        u_lo = max(u_lo, u_top - 40.0)
+    if u_top == -math.inf or integrand(u_top) == math.inf:
+        return math.inf
+    return _integrate.quad(integrand, u_lo, math.inf, epsabs=0.0,
+                           epsrel=1e-10, limit=400)[0]
 
 
 def horizon_bound_b(model: PdeModel, p: float, T: float,
@@ -177,7 +210,9 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
     The orders are those of the terms with a nonzero sup.  When their
     largest |l| is <= 1, or no term is left (f = 0), the tail integral
     diverges, so the bound is infinite and every T certifies regardless of
-    C_tilde.
+    C_tilde.  Otherwise the integral runs from a_lo = C_partial /
+    survival(T)^(p-1), taken in logs so that a tiny phi keeps it: phi = 0
+    puts it at 0, where without an order-0 term it diverges.
     """
     r = p - 1.0
     c_tilde = _route_constant(model, p, r, T)
@@ -191,19 +226,10 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
         return c_tilde, math.inf, True
     if not 0.0 < c_tilde < math.inf:    # overflowed, or underflowed to 0
         return c_tilde, 0.0, False
-    a_lo = _partial_ratio(model, p, r, T, paper_literal)
-    if not math.isfinite(a_lo):
+    u_lo = _log_partial_ratio(model, p, r, T, paper_literal)
+    if u_lo == math.inf:
         return c_tilde, 0.0, False
-
-    def denom(xv):
-        return sum(c * xv ** o for c, o in terms)
-
-    cut = max(a_lo, 1e6)
-    head, _ = _integrate.quad(lambda xv: 1.0 / denom(xv), a_lo, cut,
-                              epsrel=1e-10, limit=400)
-    a_top = sum(c for c, o in terms if o == n_max)
-    tail = cut ** (1.0 - n_max) / (a_top * (n_max - 1.0))
-    bound = (head + tail) / c_tilde
+    bound = _tail_integral(terms, u_lo) / c_tilde
     return c_tilde, bound, T < bound
 
 

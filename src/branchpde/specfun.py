@@ -194,12 +194,12 @@ def psi_getoor(k: int, alpha: float, d: int, x) -> float:
 _NEAR_ONE = 0.9     # the connection formula takes over above this z
 
 
-def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
-                    rel_tol: float = 1e-12, max_terms: int = 100_000) -> np.ndarray:
-    """Sums each element until a checked term is below ``rel_tol`` times its
-    running total.  Convergence is checked every 8 terms and a converged
-    element leaves the working set at once, so its value depends on its own
-    z only, never on the other elements sharing the call."""
+def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """Sums each element until a checked term is below 1e-12 times its
+    running total, for at most 100,000 terms.  Convergence is checked every
+    8 terms and a converged element leaves the working set at once, so its
+    value depends on its own z only, never on the other elements sharing
+    the call."""
     z = np.asarray(z, dtype=float)
     out = np.ones_like(z)
     flat = out.reshape(-1)
@@ -207,13 +207,13 @@ def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
     zt = z.reshape(-1)
     term = np.ones_like(zt)
     total = np.ones_like(zt)
-    for n in range(max_terms):
+    for n in range(100_000):
         if not todo.size:
             return out
         term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * zt
         total += term
         if n % 8 == 7:
-            done = np.abs(term) <= rel_tol * np.maximum(np.abs(total), 1e-300)
+            done = np.abs(term) <= 1e-12 * np.maximum(np.abs(total), 1e-300)
             if np.any(done):
                 flat[todo[done]] = total[done]
                 going = ~done
@@ -221,7 +221,7 @@ def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray,
                                          total[going])
     flat[todo] = total
     raise AccuracyError(
-        f"2F1 series did not converge within {max_terms} terms "
+        "2F1 series did not converge within 100000 terms "
         f"(a={a}, b={b}, c={c})",
         partial=out, bound=float(np.max(np.abs(term))))
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,12 +84,6 @@ class TestIntegrabilityCd:
     def test_relativistic(self):
         assert check_integrability_cd(Relativistic(alpha=1.5, m=1.0)).converges
 
-    def test_lam0_invariance(self):
-        for eta in ALL_FAMILIES:
-            verdicts = [check_integrability_cd(eta, lam0=l0).converges
-                        for l0 in (0.1, 1.0, 10.0)]
-            assert len(set(verdicts)) == 1
-
     def test_exponent_value(self):
         v = check_integrability_cd(ScaledStable(alpha=1.5))
         assert v.fitted_exponent == pytest.approx(-1.25, abs=1e-6)
@@ -106,6 +101,13 @@ class TestNegativeMoments:
         assert neg_moment_stable(1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
         assert neg_moment_stable(1.0, 1.5, 1.0) == pytest.approx(
             math.gamma(4.0 / 3.0) / 1.5, rel=1e-12)
+
+    def test_large_p_matches_mpmath(self):
+        # Gamma(800/3) alone is beyond the float range; the moment is not
+        exact = (mpmath.mpf(2) ** -199 * mpmath.gamma(mpmath.mpf(800) / 3)
+                 / (mpmath.mpf(1.5) * mpmath.gamma(200)))
+        assert neg_moment_stable(200.0, 1.5, 1.0) == pytest.approx(
+            float(exact), rel=1e-12)
 
     def test_deterministic_limit(self):
         assert neg_moment_stable(1.0, 2.0, 1.0) == pytest.approx(0.5, rel=1e-12)

@@ -251,6 +251,25 @@ class TestCheck:
                             "verdict"}
         assert "certified-b" in capsys.readouterr().err
 
+    def test_route_b_quadrature_certifies(self, tmp_path):
+        # f = 0.1 u + 0.1 u^2 from a_lo = 0.0014: the bound is
+        # (1/c1) ln(1 + c1/(c2 a_lo)) / C_tilde = 34.416 > T
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": {"name": "quad-toy", "d": 1, "m": 0, "alpha": 2.0,
+                      "kappa": 1.0, "delta": 0.05, "indices": [[1], [2]],
+                      "coeffs": [0.1, 0.1], "coeff_sup": [0.1, 0.1],
+                      "terminal": {"expr": "0.01", "sup": 0.01,
+                                   "lipschitz": 0.0}},
+            "T": 0.1, "p": 3.0})
+        out = tmp_path / "report.json"
+        proc = _run_capped("check", cfg, "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Warning" not in proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "certified-b"
+        assert doc["t3b_bound"] == pytest.approx(34.41600017612356,
+                                                 rel=1e-9)
+
     def test_uncertified_exit_4(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json",
                          {"model": "burgers-halfspace", "d": 2, "alpha": 1.5,
@@ -395,18 +414,29 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv, doc, codes", [
-        # powers of sup |c_l|, |phi| and 2 beyond the float range read as
-        # infinite, and an overflowing Gamma is a DomainError
-        (["check"], {"model": "nld", "d": 2, "p": 200}, (3, 4)),
-        (["check"], {"model": "nld", "d": 2, "p": 1000}, (3, 4)),
-        (["check"], {"model": "nld", "d": 2, "p": 1e6}, (3, 4)),
+        # powers of sup |c_l|, |phi| and 2 and the Gamma ratios beyond the
+        # float range read as infinite, so a finite p ends in a verdict;
+        # linear-test's linear f certifies route b at every p
+        (["check"], {"model": "nld", "d": 2, "p": 200}, (4,)),
+        (["check"], {"model": "nld", "d": 2, "p": 1000}, (4,)),
+        (["check"], {"model": "nld", "d": 2, "p": 1e6}, (4,)),
         (["check"], {"model": {**_INLINE, "indices": [[2]],
-                               "coeff_sup": [50.0]}, "p": 250}, (3, 4)),
+                               "coeff_sup": [50.0]}, "p": 250}, (4,)),
         (["check"], {"model": "nld", "d": 2, "p": math.inf}, (3,)),
         (["estimate", "--strict"], {"model": "nld", "d": 2, "p": 200},
-         (3, 4)),
+         (4,)),
+        (["check"], {"model": "linear-test", "d": 2, "p": 400}, (0,)),
+        (["check"], {"model": "linear-test", "d": 2, "p": 1000}, (0,)),
+        (["check"], {"model": "burgers-cosine", "d": 2, "p": 400}, (4,)),
+        (["check"], {"model": "burgers-cosine", "d": 2, "p": 1000}, (4,)),
+        (["check"], {"model": "linear-test", "delta": 0.2, "p": 300}, (0,)),
+        (["check"], {"model": "linear-test", "delta": 0.2, "p": 500}, (0,)),
+        (["check"], {"model": "linear-test", "delta": 0.2, "p": 1000},
+         (0,)),
     ], ids=["nld-200", "nld-1000", "nld-1e6", "inline-250", "nld-inf",
-            "strict-200"])
+            "strict-200", "linear-400", "linear-1000", "burgers-400",
+            "burgers-1000", "linear-delta-300", "linear-delta-500",
+            "linear-delta-1000"])
     def test_large_p_ends_typed(self, tmp_path, argv, doc, codes):
         cfg = _write_cfg(tmp_path, "cfg.json", {
             "alpha": 1.5, "t": 0.9, "T": 1.0, "n_trees": 100, **doc})

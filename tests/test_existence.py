@@ -10,13 +10,15 @@ from branchpde.bernstein import (BetaRatio, LaplaceExponent, Relativistic,
                                  ScaledStable)
 from branchpde.errors import (AdmissibilityError, DomainError,
                               NotLipschitzError)
-from branchpde.existence import (HorizonReport, abs_gaussian_moment,
-                                 build_horizon_report, check_theorem2,
-                                 horizon_bound_a, horizon_bound_b)
+from branchpde.existence import (HorizonReport, _tail_integral,
+                                 abs_gaussian_moment, build_horizon_report,
+                                 check_theorem2, horizon_bound_a,
+                                 horizon_bound_b)
 from branchpde.model import (ConstantCoefficient, ConstantTerminal,
                              LifetimeDensity, PdeModel,
                              PolynomialNonlinearity, TerminalCondition,
                              builtin_model, uniform_branching)
+from branchpde.specfun import upper_reg_gamma
 
 
 def _toy_model(c=0.1, phi_sup=0.5, lipschitz=0.0, alpha=2.0, delta=0.5,
@@ -60,6 +62,11 @@ class TestGaussianMoment:
     def test_overflowing_power_reads_infinite(self):
         assert abs_gaussian_moment(1e6) == math.inf
         assert abs_gaussian_moment(1100.0, paper_literal=True) == math.inf
+
+    @pytest.mark.parametrize("p", [320.0, 343.0, 1000.0, 2047.0, 2048.0])
+    def test_overflowing_gamma_reads_infinite(self, p):
+        # 2^(p/2) Gamma((p+1)/2) passes the float range from p ~ 301 on
+        assert abs_gaussian_moment(p) == math.inf
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,81 @@ class TestHorizonBoundA:
         assert r_lit == pytest.approx(3.0 * r_std, rel=1e-12)
 
 
+def _sqrt_sum(c0, c2, a):
+    """integral from a to inf of dx / (c0 + c2 x^2)"""
+    return ((math.pi / 2.0 - math.atan(a * math.sqrt(c2 / c0)))
+            / math.sqrt(c0 * c2))
+
+
+def _linear_quadratic(c1, c2, a):
+    """integral from a to inf of dx / (c1 x + c2 x^2)"""
+    return math.log1p(c1 / (c2 * a)) / c1
+
+
 class TestHorizonBoundB:
+    @pytest.mark.parametrize("terms, a_lo, exact", [
+        ([(1.0, 1), (1.0, 2)], 1e-3, _linear_quadratic(1.0, 1.0, 1e-3)),
+        ([(2.0, 2)], 1e-9, 5e8),
+        ([(1.0, 0), (1.0, 2)], 0.0, math.pi / 2.0),
+        ([(1e20, 1), (1.0, 2)], 1e7, _linear_quadratic(1e20, 1.0, 1e7)),
+        ([(1.0, 1), (1e-20, 2)], 1e-5, _linear_quadratic(1.0, 1e-20, 1e-5)),
+        ([(1.0, 4)], 1.27e14, 1.27e14 ** -3 / 3.0),
+        ([(0.5, 3)], 1e-6, 1e-6 ** -2 / (0.5 * 2.0)),
+        ([(1.0, 12)], 1e-3, 1e-3 ** -11 / 11.0),
+        ([(1.0, 30)], 0.5, 0.5 ** -29 / 29.0),
+        ([(2.0, 0), (3.0, 2)], 0.0, _sqrt_sum(2.0, 3.0, 0.0)),
+        ([(2.0, 0), (3.0, 2)], 1e-4, _sqrt_sum(2.0, 3.0, 1e-4)),
+        # the integrand peaks 690 e-folds right of the lower limit
+        ([(1.0, 0), (1.0, 2)], 1e-300, math.pi / 2.0),
+        # 1 / (2 a_lo^2) is beyond the float range, and so is the integrand
+        ([(1.0, 3)], 1e-200, math.inf),
+    ])
+    def test_tail_integral_closed_forms(self, terms, a_lo, exact):
+        u_lo = math.log(a_lo) if a_lo else -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _tail_integral(terms, u_lo) == pytest.approx(exact,
+                                                                 rel=1e-9)
+
+    def test_large_p_bound_is_positive_and_silent(self):
+        # the integral runs from a_lo ~ 1e-47 over ~50 decades of x
+        model = _toy_model(c=0.699, phi_sup=0.0264, lipschitz=0.0,
+                           alpha=1.1, delta=0.0477, kappa=1.4987,
+                           indices=((1,), (2,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, bound, cert = horizon_bound_b(model, 30.0, 0.2288)
+        assert bound == pytest.approx(4.44088755548487e-51, rel=1e-9)
+        assert bound > 0.0 and not cert
+
+    def test_zero_terminal(self):
+        # phi = 0 puts a_lo at 0: without an order-0 term the integral
+        # diverges there, with one it is pi / (2 sqrt(c0 c2))
+        kw = dict(c=0.1, phi_sup=0.0, alpha=2.0, delta=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_tilde, bound, cert = horizon_bound_b(
+                _toy_model(indices=((2,),), **kw), 3.0, 0.1)
+            assert math.isfinite(c_tilde) and bound == math.inf and cert
+            c_tilde, bound, cert = horizon_bound_b(
+                _toy_model(indices=((0,), (2,)), **kw), 3.0, 0.1)
+        assert bound == pytest.approx(math.pi / 0.2 / c_tilde, rel=1e-9)
+
+    def test_partial_below_float_range(self):
+        # |phi|^p = 0.01^170 underflows, but its log does not: the bound
+        # is (1/c1) ln(1 + c1/(c2 a_lo)) / C_tilde, finite and uncertified
+        model = _toy_model(c=0.5, phi_sup=0.01, alpha=2.0, delta=0.05,
+                           indices=((1,), (2,)))
+        p, T = 170.0, 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_tilde, bound, cert = horizon_bound_b(model, p, T)
+        u_lo = p * math.log(0.01) - (p - 1.0) * math.log(
+            upper_reg_gamma(0.05, T))
+        integral = (-u_lo + math.log1p(math.exp(u_lo))) / 0.5
+        assert bound == pytest.approx(integral / c_tilde, rel=1e-9)
+        assert 0.0 < bound < T and not cert
+
     def test_linear_growth_certifies_everywhere(self):
         model = builtin_model("linear-test", alpha=1.5)
         c_tilde, bound, cert = horizon_bound_b(model, p=2.0, T=1.0)
