@@ -28,9 +28,10 @@ import numpy as np
 
 from .bernstein import ScaledStable
 from .engine import (DEFAULT_BUDGET, EstimatorResult, Grid, TreeBudget,
-                     estimate, resolve_workers)
+                     estimate)
 from .errors import (AdmissibilityError, BranchPdeError, BudgetExceededError,
-                     ConfigError, ProductOverflowError, UnknownModelError)
+                     ConfigError, DomainError, ProductOverflowError,
+                     UnknownModelError)
 from .existence import build_horizon_report
 from .model import (BranchingLaw, ConstantCoefficient, ExpressionCoefficient,
                     ExpressionTerminal, LifetimeDensity, PdeModel,
@@ -129,6 +130,15 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
+def _flag(cfg: dict, name: str) -> bool:
+    """Config field ``name``, false when absent.  Raises ConfigError unless
+    it is JSON true or false."""
+    value = cfg.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -207,7 +217,7 @@ def _horizon_report(cfg: dict, model: PdeModel, T: float):
     p = _number(cfg.get("p", 2.0), "p")
     eta = ScaledStable(alpha=model.alpha, kappa=model.kappa)
     report = build_horizon_report(model, eta, p, T,
-                                  paper_literal=bool(cfg.get("paper_literal")))
+                                  paper_literal=_flag(cfg, "paper_literal"))
     # catalog sups come from scans of the coefficients; inline ones are
     # declared
     violated = (audit_coeff_sup(model, T)
@@ -231,7 +241,16 @@ def _read_run(cfg: dict):
     if n_trees < 2:
         raise ConfigError("n_trees must be >= 2")
     seed = _number(cfg.get("seed", 0), "seed", int)
-    workers = resolve_workers(_number(cfg.get("workers", 1), "workers", int))
+    workers = _number(cfg.get("workers", 1), "workers", int)
+    threads = os.environ.get("BRANCHPDE_THREADS")
+    if threads is not None:     # overrides --workers and the config
+        try:
+            workers = int(threads)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise DomainError("BRANCHPDE_THREADS must be a positive integer, "
+                              f"got {threads!r}")
     b = cfg.get("budget", {})
     if not isinstance(b, dict):
         raise ConfigError(f"budget must be an object, got {b!r}")
@@ -247,7 +266,7 @@ def _read_run(cfg: dict):
     if x.size != model.d:
         raise ConfigError(f"x must have {model.d} coordinates")
     mark = _number(cfg.get("mark", 0), "mark", int)
-    if cfg.get("strict"):
+    if _flag(cfg, "strict"):
         report = _horizon_report(cfg, model, T)
         if report.verdict == "uncertified":
             print(f"horizon check uncertified at p={report.p}; refusing to "

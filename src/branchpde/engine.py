@@ -63,7 +63,6 @@ grows, merges and builds the results.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -658,18 +657,3 @@ def estimate_gradient_all(model: PdeModel, t: float, x, T: float,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return _estimate_points(model, t, x[None, :], tuple(range(1, model.d + 1)),
                             T, n_trees, master_seed, workers, budget)
-
-
-def resolve_workers(requested: int | None) -> int:
-    """Workers from the request or the BRANCHPDE_THREADS environment override."""
-    env = os.environ.get("BRANCHPDE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise DomainError(
-                f"BRANCHPDE_THREADS must be a positive integer, got {env!r}")
-        return value
-    return 1 if requested is None else requested

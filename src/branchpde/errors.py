@@ -10,16 +10,8 @@ class DomainError(BranchPdeError, ValueError):
 
 
 class AccuracyError(BranchPdeError):
-    """A series or quadrature failed to reach the requested tolerance.
-
-    Carries the partial result and an error bound so callers can decide
-    whether the partial value is still usable.
-    """
-
-    def __init__(self, message, partial=None, bound=None):
-        super().__init__(message)
-        self.partial = partial
-        self.bound = bound
+    """A series or table failed to reach its tolerance; the message says
+    by how much."""
 
 
 class DivergenceError(BranchPdeError):
@@ -27,12 +19,11 @@ class DivergenceError(BranchPdeError):
 
 
 class ParseError(BranchPdeError, ValueError):
-    """Syntax error in an expression, with byte offset and expected tokens."""
+    """Syntax error in an expression, at character ``offset``."""
 
-    def __init__(self, message, offset, expected=()):
+    def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-        self.expected = tuple(expected)
 
 
 class UnknownIdentifierError(ParseError):

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 from scipy import integrate as _integrate
+from scipy.special import logsumexp
 
 from .bernstein import (LaplaceExponent, check_integrability_cd,
                         near_critical, neg_moment_stable)
@@ -180,13 +181,15 @@ def _tail_integral(terms, u_lo: float) -> float:
     c0 e^-u; what lies 40 e-folds further left, under len(terms) e^-40 of
     the whole, is dropped so that quad sees the peak.  Without one the
     integral diverges at u_lo = -inf.  An integrand beyond the float range
-    at its peak makes the integral infinite.
+    at its peak makes the integral infinite.  An integrand below 1 at u_lo
+    is integrated over its value there, so that quad sees values of order
+    1, not ones that lose digits near the float range.
     """
     logs = [(math.log(c), o - 1.0) for c, o in terms]
 
-    def integrand(u):
+    def integrand(u, shift=0.0):
         try:
-            return 1.0 / sum(math.exp(lc + k * u) for lc, k in logs)
+            return 1.0 / sum(math.exp(lc + k * u - shift) for lc, k in logs)
         except OverflowError:
             return 0.0
         except ZeroDivisionError:
@@ -199,8 +202,11 @@ def _tail_integral(terms, u_lo: float) -> float:
         u_lo = max(u_lo, u_top - 40.0)
     if u_top == -math.inf or integrand(u_top) == math.inf:
         return math.inf
-    return _integrate.quad(integrand, u_lo, math.inf, epsabs=0.0,
-                           epsrel=1e-10, limit=400)[0]
+    # -log of the integrand at u_lo, or 0 where it exceeds 1 there
+    shift = max(0.0, logsumexp([lc + k * u_lo for lc, k in logs]))
+    return math.exp(-shift) * _integrate.quad(
+        integrand, u_lo, math.inf, args=(shift,), epsabs=0.0, epsrel=1e-10,
+        limit=400)[0]
 
 
 def horizon_bound_b(model: PdeModel, p: float, T: float,

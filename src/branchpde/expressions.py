@@ -13,6 +13,8 @@ Grammar (EBNF):
 Functions: exp, cos, sin, pospart (one argument); norm2() (squared norm of x);
 phi_bump(k, alpha), psi_getoor(k, alpha) (numeric parameters, applied to x);
 indicator_box(lo, hi) (1 if every coordinate of x lies in [lo, hi]).
+Source that breaks the grammar raises ParseError (UnknownIdentifierError for
+an unknown name): its message says what is wrong, and its ``offset`` where.
 
 Evaluation is vectorized: x may be a single point (d,) or a batch (..., n, d).
 ``fold_expression`` evaluates once the part of an expression that reads only
@@ -81,12 +83,11 @@ class Folded:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """indicator_box(lo, hi) tested on the 0-based ``columns``, ANDed with
-    ``inside``, the folded test of the other columns."""
+    """indicator_box(lo, hi) tested on the columns it is evaluated at, ANDed
+    with ``inside``, the folded test of the other columns."""
 
     lo: float
     hi: float
-    columns: tuple
     inside: np.ndarray
 
 
@@ -128,8 +129,7 @@ def _tokenize(src: str):
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos,
-                             expected=("number", "identifier", "operator"))
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -161,7 +161,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if value != text:
             raise ParseError(f"expected {text!r}, found {value or 'end of input'!r}",
-                             offset, expected=(text,))
+                             offset)
         return self.advance()
 
     def level(self, depth, offset):
@@ -169,7 +169,7 @@ class _Parser:
         ``depth`` deep: a ParseError beyond MAX_DEPTH."""
         if depth >= MAX_DEPTH:
             raise ParseError(f"expression nests more than {MAX_DEPTH} levels",
-                             offset, expected=(f"at most {MAX_DEPTH} levels",))
+                             offset)
         return depth + 1
 
     @contextlib.contextmanager
@@ -184,8 +184,7 @@ class _Parser:
         ast, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
-            raise ParseError(f"trailing input {value!r}", offset,
-                             expected=("end of input",))
+            raise ParseError(f"trailing input {value!r}", offset)
         return ast
 
     def expr(self):
@@ -237,7 +236,7 @@ class _Parser:
                 if not self.time:
                     raise ParseError("t is not allowed here: a terminal "
                                      "condition is a function of x alone",
-                                     offset, expected=("x<j>",))
+                                     offset)
                 return VarT(), 0
             m = re.fullmatch(r"x(\d+)", value)
             if m:
@@ -248,10 +247,10 @@ class _Parser:
                 return VarX(j), 0
             if value in _FUNC_ARITY:
                 return self.call(value, offset)
-            raise UnknownIdentifierError(f"unknown identifier {value!r}", offset,
-                                         expected=tuple(_FUNC_ARITY) + ("t", "x<j>"))
-        raise ParseError(f"unexpected token {value or 'end of input'!r}", offset,
-                         expected=("number", "identifier", "("))
+            raise UnknownIdentifierError(f"unknown identifier {value!r}",
+                                         offset)
+        raise ParseError(f"unexpected token {value or 'end of input'!r}",
+                         offset)
 
     def call(self, name, offset):
         self.expect("(")
@@ -266,7 +265,7 @@ class _Parser:
         arity = _FUNC_ARITY[name]
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}",
-                             offset, expected=(f"{arity} arguments",))
+                             offset)
         depth = self.level(max((depth for _, depth in args), default=0),
                            offset)
         args = tuple(node for node, _ in args)
@@ -281,8 +280,7 @@ def _const_value(node, name, offset):
         return node.value
     if isinstance(node, Neg):
         return -_const_value(node.arg, name, offset)
-    raise ParseError(f"{name} parameters must be numeric constants", offset,
-                     expected=("number",))
+    raise ParseError(f"{name} parameters must be numeric constants", offset)
 
 
 def parse_expression(src: str, d: int, time: bool = True):
@@ -347,8 +345,7 @@ def _fold(node, t, tail, lead):
         kids = node.args
     elif lead and node.name == "indicator_box":
         lo, hi = (a.value for a in node.args)
-        return Box(lo, hi, tuple(range(lead)),
-                   _inside(lo, hi, tail, range(tail.shape[1])))
+        return Box(lo, hi, _inside(lo, hi, tail))
     elif lead:
         return Radial(node, radial_args(tail)[0], lead + tail.shape[1])
     else:    # reads every coordinate, all of them folded
@@ -361,10 +358,10 @@ def _fold(node, t, tail, lead):
         return Folded(None, str(exc))
 
 
-def _inside(lo, hi, pts, columns, inside=None):
-    """``inside`` ANDed with lo <= x_j <= hi for each j of ``columns``, one
-    column at a time (None for no columns and no ``inside``)."""
-    for j in columns:
+def _inside(lo, hi, pts, inside=None):
+    """``inside`` ANDed with lo <= x_j <= hi for each column j of ``pts``,
+    one column at a time (None for no columns and no ``inside``)."""
+    for j in range(pts.shape[-1]):
         test = pts[..., j] >= lo
         test &= pts[..., j] <= hi
         inside = test if inside is None else inside & test
@@ -405,8 +402,7 @@ def _eval(node, t, pts):
             raise EvaluationError(node.error)
         return node.value
     if isinstance(node, Box):
-        return _inside(node.lo, node.hi, pts, node.columns,
-                       node.inside).astype(float)
+        return _inside(node.lo, node.hi, pts, node.inside).astype(float)
     if isinstance(node, Radial):
         return _radial(node.call, radial_args(pts, node.r2)[0], node.d)
     raise TypeError(f"not an AST node: {node!r}")
@@ -425,7 +421,7 @@ def _eval_call(node, t, pts):
         return np.maximum(0.0, v)
     if name == "indicator_box":
         lo, hi = (a.value for a in node.args)
-        return _inside(lo, hi, pts, range(pts.shape[-1])).astype(float)
+        return _inside(lo, hi, pts).astype(float)
     return _radial(node, radial_args(pts)[0], pts.shape[-1])
 
 

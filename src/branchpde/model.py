@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnknownModelError
-from .expressions import eval_expression, fold_expression, parse_expression
+from .expressions import (_inside, eval_expression, fold_expression,
+                          parse_expression)
 from .specfun import (_positive_power, bump_r2, gamma_fn, psi_getoor_batch,
                       radial_args, upper_reg_gamma)
 from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bump)
@@ -35,7 +36,8 @@ from .specfun import phi_bump  # noqa: F401  (bench/tracer.py wraps model.phi_bu
 # lead) and gives the bits of the original at the joined points.  An inline
 # expression folds every part that reads only t and those coordinates (see
 # ``expressions.fold_expression``); a radial callable keeps its rows' |x|^2
-# and sum_j x_j over them, which ``specfun.radial_args`` continues.
+# and sum_j x_j over them, which ``specfun.radial_args`` continues; the
+# cosine product keeps their cosines and box test.
 # --------------------------------------------------------------------------
 
 
@@ -145,25 +147,52 @@ class ScaledBump(_Radial):
 
 @dataclass(frozen=True)
 class CosineProduct:
-    """phi(x) = prod_j cos(x_j) on the box [-pi/2, pi/2]^d, 0 outside."""
+    """phi(x) = prod_j cos(x_j) on the box [-pi/2, pi/2]^d, 0 outside.
+
+    The cosines multiply one column at a time, first to last, and the box
+    is tested as the expression language's indicator_box tests it, so phi
+    has the bits of the inline cos(x1) * ... * cos(xd) * indicator_box.
+    ``tail`` holds the cosines, one row per coordinate, and the box test of
+    the coordinates it was folded at.
+    """
 
     d: int
+    tail: tuple = field(default=((), None), init=False, compare=False,
+                        repr=False)
 
     def __call__(self, x):
-        xa = np.asarray(x)
-        # one column at a time, as the expression language's indicator_box
-        inside = np.abs(xa[..., 0]) <= np.pi / 2.0
-        for j in range(1, xa.shape[-1]):
-            inside &= np.abs(xa[..., j]) <= np.pi / 2.0
-        return np.prod(np.cos(xa), axis=-1) * inside
+        x = np.asarray(x)
+        cosines, inside = self.tail
+        value = np.ones(x.shape[:-1])
+        for j in range(x.shape[-1]):
+            value *= np.cos(x[..., j])
+        for cos in cosines:
+            value *= cos
+        return value * _inside(-np.pi / 2.0, np.pi / 2.0, x, inside)
+
+    def fold(self, x, lead):
+        x = np.asarray(x)
+        return _folded(self, "tail", (np.cos(x.T, order="C"), _inside(
+            -np.pi / 2.0, np.pi / 2.0, x)))
 
 
 @dataclass(frozen=True)
 class HalfspaceIndicator:
-    """phi(x) = 1{x_1 >= 0}; not Lipschitz."""
+    """phi(x) = 1{x_1 >= 0}; not Lipschitz.  ``x1`` holds x_1 per row when
+    folded at every coordinate."""
+
+    x1: object = field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, x):
-        return (np.asarray(x)[..., 0] >= 0.0).astype(float)
+        x = np.asarray(x)
+        x1 = (x[..., 0] if self.x1 is None
+              else np.broadcast_to(self.x1, x.shape[:-1]))
+        return (x1 >= 0.0).astype(float)
+
+    def fold(self, x, lead):
+        if lead:
+            return self
+        return _folded(self, "x1", np.asarray(x)[:, 0].copy())
 
 
 @dataclass(frozen=True)

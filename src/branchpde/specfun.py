@@ -219,11 +219,9 @@ def _series_2f1_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
                 going = ~done
                 todo, zt, term, total = (todo[going], zt[going], term[going],
                                          total[going])
-    flat[todo] = total
     raise AccuracyError(
         "2F1 series did not converge within 100000 terms "
-        f"(a={a}, b={b}, c={c})",
-        partial=out, bound=float(np.max(np.abs(term))))
+        f"(a={a}, b={b}, c={c}; last term {np.max(np.abs(term)):.3g})")
 
 
 def _hyp2f1_near_one_vec(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
@@ -326,7 +324,7 @@ def _chebyshev_table(f, breaks, degree: int) -> np.ndarray:
     if not err <= _TABLE_RTOL:
         raise AccuracyError(
             f"Chebyshev table of degree {degree} on pieces {breaks.tolist()} "
-            f"is off by {err:.3g} relative", partial=coefs, bound=err)
+            f"is off by {err:.3g} relative")
     return coefs
 
 

@@ -38,10 +38,10 @@ _DEEP = {**_INLINE, "d": 1200, "terminal": {
     "sup": 1.0}}
 
 
-def _run_capped(command, cfg, *args):
+def _run_capped(command, cfg, *args, gib=2.0):
     """``branchpde <command> --config cfg`` in a child process capped at
-    2 GB of address space; only the child is limited."""
-    limit = 2 * 1024 ** 3
+    ``gib`` GiB of address space; only the child is limited."""
+    limit = int(gib * 1024 ** 3)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -102,6 +102,46 @@ class TestEstimate:
         main(["estimate", "--config", cfg, "--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    @staticmethod
+    def _workers(tmp_path, monkeypatch, capsys, doc, flags):
+        """``estimate`` on config ``doc`` with ``flags``: its exit code, the
+        workers it passed to the engine (None if it did not call it) and
+        its stderr."""
+        seen = []
+        real = cli.estimate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate", spy)
+        cfg = _write_cfg(tmp_path, "cfg.json",
+                         {**LINEAR_CFG, "n_trees": 100, **doc})
+        code = main(["estimate", "--config", cfg] + flags)
+        return code, (seen or [None])[0], capsys.readouterr().err
+
+    def test_workers_default_and_request(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.delenv("BRANCHPDE_THREADS", raising=False)
+        for doc, flags, workers in [({}, [], 1), ({"workers": 6}, [], 6),
+                                    ({"workers": 6}, ["--workers", "2"], 2)]:
+            assert self._workers(tmp_path, monkeypatch, capsys, doc,
+                                 flags) == (EXIT_OK, workers, "")
+
+    def test_threads_env_overrides_workers(self, tmp_path, monkeypatch,
+                                           capsys):
+        """BRANCHPDE_THREADS overrides both the config's workers and
+        --workers; a value that is not a positive integer exits 3, naming
+        the variable, before any estimate."""
+        monkeypatch.setenv("BRANCHPDE_THREADS", "3")
+        assert self._workers(tmp_path, monkeypatch, capsys, {"workers": 2},
+                             ["--workers", "1"]) == (EXIT_OK, 3, "")
+        for value in ("0", "-2", "abc", ""):
+            monkeypatch.setenv("BRANCHPDE_THREADS", value)
+            assert self._workers(tmp_path, monkeypatch, capsys, {}, []) == (
+                EXIT_CONFIG, None, "error: BRANCHPDE_THREADS must be a "
+                f"positive integer, got {value!r}\n")
+
     def test_budget_abort_exit_2(self, tmp_path, capsys, monkeypatch):
         # 1,000-tree batches, of which the first two grow within the
         # default budget and the third outgrows one generation
@@ -121,6 +161,18 @@ class TestEstimate:
                      "--out", str(out)]) == EXIT_BUDGET
         assert capsys.readouterr().err.startswith(
             "budget exceeded after 2000 trees: tree outgrew its budget")
+
+    def test_catalog_cosine_folds_in_bounded_memory(self, tmp_path):
+        """Catalog burgers-cosine at d = 1000, one 25k-tree batch at x = 0:
+        its terminal folds at every coordinate, so a block of points is not
+        evaluated on a copy of x + disp.  The run peaks at 1.34 GB RSS and
+        fits in 1.75 GiB of address space; called as it is, the cosine
+        product peaked at 1.76 GB and ran out of memory there."""
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": "burgers-cosine", "d": 1000, "alpha": 1.5, "t": 0.9,
+            "T": 1.0, "n_trees": 25_000})
+        proc = _run_capped("estimate", cfg, gib=1.75)
+        assert proc.returncode == EXIT_OK, proc.stderr
 
     def test_inline_model(self, tmp_path):
         # f = 0.8 u with phi = 1 expressed inline; same solution e^(0.8 (T-t))
@@ -529,12 +581,18 @@ class TestConfigErrors:
             **_INLINE, "coeffs": [0.0],
             "terminal": {"expr": "1 + t", "sup": 2.0}}}, []),
         ("estimate", LINEAR_CFG, ["--workers", "0"]),
+        # flags are JSON true or false, not their spelling or a number
+        ("estimate", {**LINEAR_CFG, "strict": "false"}, []),
+        ("estimate", {**LINEAR_CFG, "strict": 1}, []),
+        ("check", {"model": "linear-test", "paper_literal": "false"}, []),
+        ("check", {"model": "linear-test", "paper_literal": 1}, []),
     ], ids=[f"{command}-seed{seed}"
             for command in ("estimate", "sweep", "sample-diag")
             for seed in ("-1", "2^64")] + [
         "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
         "n_samples", "inline-index-fraction", "inline-q-string",
-        "inline-terminal-t", "workers-zero"])
+        "inline-terminal-t", "workers-zero", "strict-string", "strict-int",
+        "paper-literal-string", "paper-literal-int"])
     def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
         assert main([command, "--config", cfg] + flags) == EXIT_CONFIG

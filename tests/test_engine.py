@@ -17,7 +17,7 @@ from branchpde.cli import EXIT_BUDGET, main, resolve_model
 from branchpde.engine import (BATCH_TREES, MAX_BATCH_FLOATS,
                               EstimatorResult, Grid, TreeBudget, _evaluate,
                               _grow_skeleton, _plan, _values, estimate,
-                              estimate_gradient_all, resolve_workers)
+                              estimate_gradient_all)
 from branchpde.errors import (BudgetExceededError, DegenerateDerivativeError,
                               DomainError, ProductOverflowError)
 from branchpde.model import (ClippedCoordinate, ConstantCoefficient,
@@ -802,17 +802,3 @@ class TestValidation:
         model = builtin_model(name, **kwargs)
         with deadline(5.0), pytest.raises(DomainError):
             estimate(model, t, np.array(x), 0, T, n_trees=1_000)
-
-
-class TestResolveWorkers:
-    def test_default_and_request(self, monkeypatch):
-        monkeypatch.delenv("BRANCHPDE_THREADS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(6) == 6
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BRANCHPDE_THREADS", "4")
-        assert resolve_workers(2) == 4
-        monkeypatch.setenv("BRANCHPDE_THREADS", "0")
-        with pytest.raises(DomainError):
-            resolve_workers(2)

@@ -234,13 +234,16 @@ class TestHorizonBoundB:
         ([(1.0, 0), (1.0, 2)], 1e-300, math.pi / 2.0),
         # 1 / (2 a_lo^2) is beyond the float range, and so is the integrand
         ([(1.0, 3)], 1e-200, math.inf),
+        # the integrand is near the bottom of the float range from the start
+        ([(1.0, 2)], 1e300, 1e-300),
+        ([(1.0, 2)], 1e305, 1e-305),
     ])
     def test_tail_integral_closed_forms(self, terms, a_lo, exact):
         u_lo = math.log(a_lo) if a_lo else -math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _tail_integral(terms, u_lo) == pytest.approx(exact,
-                                                                 rel=1e-9)
+            assert _tail_integral(terms, u_lo) == pytest.approx(
+                exact, rel=1e-12, abs=0.0)
 
     def test_large_p_bound_is_positive_and_silent(self):
         # the integral runs from a_lo ~ 1e-47 over ~50 decades of x
@@ -250,7 +253,8 @@ class TestHorizonBoundB:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, bound, cert = horizon_bound_b(model, 30.0, 0.2288)
-        assert bound == pytest.approx(4.44088755548487e-51, rel=1e-9)
+        assert bound == pytest.approx(4.44088755548487e-51, rel=1e-9,
+                                      abs=0.0)
         assert bound > 0.0 and not cert
 
     def test_zero_terminal(self):

@@ -89,6 +89,34 @@ class TestTerminals:
             phi(np.array([[0.0, 1.0], [-0.1, 5.0], [3.0, -2.0]])),
             [1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["cosine", "halfspace"])
+    def test_fold_matches_call(self, name, d, lead):
+        """Folded at rows of the coordinates from ``lead`` on, a catalog
+        terminal gives at points (G, rows, lead) the bits of its call at the
+        joined points, which are those of prod_j cos(x_j) times the box
+        test, or of 1{x_1 >= 0}.  The points include the box's edges,
+        values just outside them and signed zeros."""
+        phi = CosineProduct(d=d) if name == "cosine" else HalfspaceIndicator()
+        rng = np.random.default_rng(10 * d + lead)
+        edges = [-np.pi / 2, np.pi / 2, np.nextafter(np.pi / 2, 4.0),
+                 np.nextafter(-np.pi / 2, -4.0), 0.0, -0.0]
+        x = rng.uniform(-2.5, 2.5, (4, 60, d))
+        at_edge = rng.random(x.shape) < 0.2
+        x[at_edge] = rng.choice(edges, at_edge.sum())
+        x[:, :, lead:] = x[0, :, lead:]         # the points share the tail
+        folded = phi.fold(x[0, :, lead:], lead)
+        got = folded(x[:, :, :lead])
+        assert got.shape == (4, 60)
+        assert got.tobytes() == phi(x).tobytes()
+        if name == "cosine":
+            want = (np.prod(np.cos(x), axis=-1)
+                    * np.all(np.abs(x) <= np.pi / 2, axis=-1))
+        else:
+            want = (x[..., 0] >= 0.0).astype(float)
+        assert got.tobytes() == want.tobytes()
+
     def test_clipped_coordinate(self):
         phi = ClippedCoordinate(index=2, bound=1.0)
         np.testing.assert_array_equal(
