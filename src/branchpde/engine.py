@@ -28,9 +28,11 @@ an index array of its rows.  One skeleton serves every point of a sweep.
 A child's mark depends only on its offspring category, so the trees of
 every root mark are the same.  A skeleton is grown with mark-0 roots and
 keeps each root's subordinator increment; the plan of mark theta >= 1
-multiplies each root's weight by W and adds the root leaves, the first
-leaves, to the marked leaves.  So one skeleton serves u and every du/dx_i,
-one mark's plan at a time.
+multiplies each root's weight by W, and each root leaf, one of the first
+leaves, subtracts phi at the point, where it was born.  So one skeleton
+serves u and every du/dx_i, one mark's plan at a time.  Every displacement
+is held once: a marked leaf was born where its parent died, so its birth is
+its parent's row of the displacements.
 
 Each row stores one weight, W over its survival or q_l rho denominator.
 Once a batch is grown, one plan per mark of a run prepares its evaluation at
@@ -38,8 +40,9 @@ all of the run's points.  The plan multiplies what does not depend on the
 point into one product per tree, kind by kind: the weight of every row, and
 the whole factor of every category with a constant coefficient.  What is
 left is phi at x + displacement over the leaves and c_l at the interior
-deaths of the other categories, one term per kind, and each term is one
-call per block of points.  Every point of a run holds the same bits from
+deaths of the other categories, one term per kind, and phi at the marked
+leaves' births; each term is one call per block of points, and the root
+leaves' phi at x one more.  Every point of a run holds the same bits from
 coordinate ``lead`` on (all of them for one point, x_2..x_d for an x_1
 sweep), so a phi or c_l with ``fold`` is folded at those coordinates of its
 rows once per plan (see ``model``) and then reads only the first ``lead``
@@ -178,9 +181,11 @@ class _Skeleton:
     ``weight`` is its derivative weight W over survival(T - birth) for a
     leaf, over q_l rho(lifetime) for an interior particle.  ``marked_rows``
     are the positions among the leaves of those with a nonzero mark, and
-    ``marked_birth`` their birth displacements.  Every root carries mark 0,
-    so its move ``disp[i]`` and ``root_ds``, its subordinator increment, are
-    what a root mark changes.  Nothing here depends on the root position.
+    ``marked_parent`` their parents' rows: a child is born at its parent's
+    death, so ``disp[marked_parent]`` are their birth displacements.  Every
+    root carries mark 0, so its move ``disp[i]`` and ``root_ds``, its
+    subordinator increment, are what a root mark changes.  Nothing here
+    depends on the root position.
     """
 
     tree: np.ndarray          # (N,) tree index
@@ -189,7 +194,7 @@ class _Skeleton:
     death: np.ndarray         # (N,)
     rows: tuple               # per kind, its rows
     marked_rows: np.ndarray   # (M,) positions among the leaves
-    marked_birth: np.ndarray  # (M, d)
+    marked_parent: np.ndarray  # (M,) rows of disp
     root_ds: np.ndarray       # (n_batch,)
     particles: np.ndarray     # (n_batch,) particles per tree
     generations: int          # levels grown
@@ -222,13 +227,14 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
 
     # active particle state
     tree = np.arange(n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)     # its parent's row, -1 a root
     marks = np.zeros(n, dtype=np.int64)
     birth = np.full(n, float(t))
     disp = np.zeros((n, model.d))
     # per field, one array a level
     levels = {name: [] for name in
               ("tree", "disp", "weight", "death", "kind", "marked_leaf")}
-    marked_birth = []
+    marked_parent = []
     stored = n
 
     gen = 1
@@ -254,7 +260,7 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
                                   out=np.zeros_like(ds_m), where=ds_m > 0.0)
 
         marked_leaf = marked & leaf
-        marked_birth.append(disp[marked_leaf])
+        marked_parent.append(parent[marked_leaf])
         # move: disp becomes the displacement at death (at T for a leaf),
         # written over dx, which is not read again
         disp = np.add(disp, dx, out=dx)
@@ -286,6 +292,8 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
         parent_rows = int_rows[has_kids]
         kid_counts = counts[has_kids]
         ends = np.cumsum(kid_counts)
+        # this level's rows start at stored - tree.size
+        parent = np.repeat(stored - tree.size + parent_rows, kid_counts)
         stored += int(ends[-1])
         if stored * width > MAX_BATCH_FLOATS:
             raise BudgetExceededError(
@@ -309,7 +317,7 @@ def _grow_skeleton(model: PdeModel, t: float, T: float, n: int,
                  for k in range(1 + child_counts.size))
     return _Skeleton(**flat, rows=rows,
                      marked_rows=np.flatnonzero(marked_leaf[rows[0]]),
-                     marked_birth=np.concatenate(marked_birth),
+                     marked_parent=np.concatenate(marked_parent),
                      root_ds=root_ds, particles=particles, generations=gen)
 
 
@@ -339,8 +347,10 @@ class _Plan:
     (call, times, disp), which ``_values`` calls once per block of points:
     ``call`` is phi or c_l, folded for the plan if it has ``fold``, or as
     it is; ``times`` is () for phi and (death times,) for c_l; and ``disp``
-    the columns of the rows' displacements that ``call`` reads.  ``block``
-    is the number of points a call of ``_evaluate`` takes.
+    the columns of the rows' displacements that ``call`` reads.  The first
+    ``roots`` leaves, the root leaves of a mark theta >= 1, subtract
+    ``phi``, as it is, at the point.  ``block`` is the number of points a
+    call of ``_evaluate`` takes.
     """
 
     base: np.ndarray
@@ -348,6 +358,8 @@ class _Plan:
     terms: tuple
     marked: np.ndarray
     births: tuple
+    phi: object
+    roots: int
     block: int
 
 
@@ -358,7 +370,8 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
 
     A root of mark theta >= 1 multiplies its weight by W = dx_theta / ds
     (0 where ds = 0), and a root leaf subtracts phi at its birth, the
-    origin, like the other marked leaves.  ``lead`` is 1 + the last
+    point; any other marked leaf's birth is its parent's row of ``sk.disp``.
+    ``lead`` is 1 + the last
     coordinate in which the points' bits differ, 0 for one point, so every
     point holds x0 = points[0] from ``lead`` on.  A callable with ``fold``
     is folded at those coordinates of x0 + disp and reads only the first
@@ -368,45 +381,40 @@ def _plan(model: PdeModel, sk: _Skeleton, points: np.ndarray,
     varies = np.flatnonzero(np.any(bits != bits[0], axis=0))
     lead = int(varies[-1]) + 1 if varies.size else 0
 
-    def term(fn, disp, rows, *times):
-        # fn's term at ``rows`` of ``disp``, an index array: each
-        # disp[rows, ...] below is a new array
+    def term(fn, rows, *times):
+        # fn's term at ``rows`` of sk.disp, an index array: each
+        # sk.disp[rows, ...] below is a new array
         if not hasattr(fn, "fold"):
-            return fn, times, disp[rows]
-        tail = disp[rows, lead:]
+            return fn, times, sk.disp[rows]
+        tail = sk.disp[rows, lead:]
         tail += points[0, lead:]
-        return fn.fold(*times, tail, lead), times, disp[rows, :lead]
+        return fn.fold(*times, tail, lead), times, sk.disp[rows, :lead]
 
     phi = model.terminal.phi
     n = sk.root_ds.size
     factor = sk.weight.copy()
     leaves = sk.rows[0]
-    marked, marked_birth = sk.marked_rows, sk.marked_birth
+    # the root leaves are the first leaves
+    roots = int(np.searchsorted(leaves, n)) if mark else 0
     if mark:
         ds = sk.root_ds
         factor[:n] *= np.divide(sk.disp[:n, mark - 1], ds,
                                 out=np.zeros_like(ds), where=ds > 0.0)
-        # the root leaves are the first leaves
-        root_leaves = np.arange(np.searchsorted(leaves, n))
-        marked = np.concatenate([marked, root_leaves])
-        marked_birth = np.concatenate(
-            [marked_birth, np.zeros((root_leaves.size, model.d))])
-    trees, terms = [sk.tree[leaves]], [term(phi, sk.disp, leaves)]
+    trees, terms = [sk.tree[leaves]], [term(phi, leaves)]
     for coeff, rows in zip(model.nonlinearity.coeffs, sk.rows[1:]):
         if isinstance(coeff, ConstantCoefficient):
             factor[rows] *= coeff.value
         elif rows.size:
             trees.append(sk.tree[rows])
-            terms.append(term(coeff, sk.disp, rows, sk.death[rows]))
-    births = (term(phi, marked_birth, np.arange(marked.size))
-              if marked.size else ())
+            terms.append(term(coeff, rows, sk.death[rows]))
+    births = term(phi, sk.marked_parent) if sk.marked_parent.size else ()
     # each call's rows times the columns it reads, at least 1
     cells = sum(max(disp.size, len(disp))
                 for _, _, disp in terms + ([births] if births else []))
     base = _multiply(np.ones(n), ((sk.tree[rows], factor[rows])
                                   for rows in sk.rows))
     return _Plan(base=base, trees=tuple(trees), terms=tuple(terms),
-                 marked=marked, births=births,
+                 marked=sk.marked_rows, births=births, phi=phi, roots=roots,
                  block=max(1, EVAL_BLOCK_CELLS // max(cells, 1)))
 
 
@@ -434,7 +442,8 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
 
     Each point's column starts from the plan's ``base`` and multiplies in
     its point-dependent factors: phi at x + displacement for every leaf,
-    minus phi at birth for the marked leaves, and c_l at the interior deaths
+    minus phi at birth for the marked leaves (at x for a root leaf), and
+    c_l at the interior deaths
     of each category whose coefficient is not constant.  A point's column
     does not depend on the other points of the block.  A tree with an
     exactly zero factor has H = 0; raises ProductOverflowError if any other
@@ -443,8 +452,12 @@ def _evaluate(plan: _Plan, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     # one (G, rows) array of factors per point-dependent kind
     parts = [_values(term, points) for term in plan.terms]
-    if plan.marked.size:
+    if plan.births:
         parts[0][:, plan.marked] -= _values(plan.births, points)
+    if plan.roots:
+        # + 0.0 reads -0.0 as x + 0 displacement does
+        parts[0][:, :plan.roots] -= np.asarray(plan.phi(points + 0.0),
+                                               dtype=float)[:, None]
 
     h = np.tile(plan.base, (len(points), 1))
     # point g's products are row g of h: tree i at g n + i of its flat view
@@ -602,7 +615,9 @@ class Grid:
     The first call estimates every point from the same trees and keeps the
     run's key (model and run parameters) and results here; the calls that
     follow with the same key return their point's result without growing
-    anything.
+    anything.  A point is found by its bits, -0.0 read as 0.0, in an index
+    of the first row holding each; ``points`` is read-only, so the index
+    holds.
     """
 
     def __init__(self, points):
@@ -610,6 +625,10 @@ class Grid:
         if self.points.ndim != 2:
             raise DomainError("grid points must form a (G, d) array, got "
                               f"shape {self.points.shape}")
+        self.points.flags.writeable = False
+        # the first of equal rows is the last written
+        self._rows = {row.tobytes(): i for i, row in
+                      reversed(list(enumerate(self.points + 0.0)))}
         self._key = None
         self._results = None
 
@@ -625,23 +644,24 @@ def estimate(model: PdeModel, t: float, x, mark: int, T: float,
     mark grows the same trees from the same streams.  With a ``grid``
     holding x, all of the grid's points are estimated from the same trees on
     the first call, and later calls return the stored results (their
-    ``elapsed`` is the time of the whole grid); an x that is not a row of
-    the grid raises DomainError.
+    ``elapsed`` is the time of the whole grid).  x is looked up in the
+    grid's index, the first of equal rows; an x that is not a row of the
+    grid raises DomainError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if grid is None:
         return _estimate_points(model, t, x[None, :], (mark,), T, n_trees,
                                 master_seed, workers, budget)[0]
-    hits = (np.flatnonzero(np.all(grid.points == x, axis=1))
-            if x.shape == grid.points.shape[1:] else ())
-    if not len(hits):
+    row = (grid._rows.get((x + 0.0).tobytes())
+           if x.shape == grid.points.shape[1:] else None)
+    if row is None:
         raise DomainError(f"x={x} is not a point of the grid")
     key = (model, t, mark, T, n_trees, master_seed, budget)
     if grid._key != key:
         grid._results = _estimate_points(model, t, grid.points, (mark,), T,
                                          n_trees, master_seed, workers, budget)
         grid._key = key
-    return grid._results[hits[0]]
+    return grid._results[row]
 
 
 def estimate_gradient_all(model: PdeModel, t: float, x, T: float,

@@ -66,8 +66,8 @@ class Theorem2Check:
     inconclusive: bool
 
 
-def check_theorem2(eta: LaplaceExponent, delta: float, p: float,
-                   T: float) -> Theorem2Check:
+def check_theorem2(eta: LaplaceExponent, delta: float,
+                   p: float) -> Theorem2Check:
     """Verdicts on the two Theorem-2 integrability conditions and the p = 1
     tail condition.
 
@@ -77,11 +77,11 @@ def check_theorem2(eta: LaplaceExponent, delta: float, p: float,
     inconclusive band.  For eta ~ l^beta that exponent is
     (1-delta)(p-1) - p/(2 beta), and beta is read from the (C-D) fit's slope
     -beta - 1/2; an eta that does not grow (beta <= 0) gives -inf.  The
-    integrand is bounded on [s0, T] for every s0 > 0, so a finite T does
-    not enter the verdict; it is validated all the same.
+    integrand is bounded on [s0, T] for every s0 > 0, so the horizon T
+    does not enter the verdict.
     """
-    if not (delta > 0.0 and 1.0 <= p < math.inf and 0.0 < T < math.inf):
-        raise DomainError("require delta > 0, 1 <= p < inf, 0 < T < inf")
+    if not (delta > 0.0 and 1.0 <= p < math.inf):
+        raise DomainError("require delta > 0, 1 <= p < inf")
     cond_rho = (1.0 - delta) * (p - 1.0) > -1.0
 
     cd = check_integrability_cd(eta)
@@ -256,7 +256,7 @@ def build_horizon_report(model: PdeModel, eta: LaplaceExponent, p: float,
                          T: float,
                          paper_literal: bool = False) -> HorizonReport:
     """Evaluate both certification routes and the Theorem-2 hypotheses."""
-    t2 = check_theorem2(eta, model.lifetime.delta, p, T)
+    t2 = check_theorem2(eta, model.lifetime.delta, p)
     notes = []
     if t2.inconclusive:
         notes.append("theorem-2 exponent fit is inside the inconclusive band")

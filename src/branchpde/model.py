@@ -240,8 +240,8 @@ class ExpressionTerminal:
 
 # The floats a grown batch of trees may store, d + 4 a particle (its
 # displacement, tree, weight, death time and kind): 500 MB.  Burgers-cosine
-# at d = 1050, whose evaluation also copies its leaves' displacements, runs
-# one 25k-tree batch (6.2e7 floats) within a 2 GiB address space.
+# at d = 1050, whose terminal folds, runs one 25k-tree batch (6.2e7 floats)
+# for u or du/dx_1 within a 1.5 GiB address space.
 MAX_BATCH_FLOATS = 62_500_000
 
 
@@ -442,6 +442,7 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
         raise AdmissibilityError(f"dimension must be positive, got {d}")
     if name in ("nld", "gradd") and kappa != 1.0:
         raise AdmissibilityError(f"{name} requires kappa = 1, got {kappa}")
+    # a bad delta is refused before an unknown name or a bad alpha
     lifetime = LifetimeDensity(delta=delta)
 
     if name == "nld":
@@ -452,55 +453,40 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
                   ConstantCoefficient(1.0), ConstantCoefficient(1.0))
         # |c_0| is radial
         sups = (_radial_sup(coeffs[0], np.eye(1, d)[0], T), 1.0, 1.0)
-        nonlin = PolynomialNonlinearity(m=0, indices=indices,
-                                        coeffs=coeffs, coeff_sup=sups)
-        return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
-                        nonlinearity=nonlin, terminal=_bump_terminal(k, alpha, T),
-                        branching=uniform_branching(3), lifetime=lifetime)
-
-    if name == "gradd":
+        terminal = _bump_terminal(k, alpha, T)
+    elif name == "gradd":
         if not 1.0 < alpha < 2.0:
             raise AdmissibilityError("gradient-bearing models require alpha in (1, 2)")
-        zero = (0,) * (d + 1)
-        lone_u = (1,) + (0,) * d
-        indices = (zero, lone_u) + _gradient_indices(d, d + 2)
+        indices = (((0,) * (d + 1), (1,) + (0,) * d)
+                   + _gradient_indices(d, d + 2))
         coeffs = ((GraddSource(k=k, alpha=alpha, d=d),)
                   + (ConstantCoefficient(1.0),) * (d + 1))
         # the worst direction for sum_j x_j is the diagonal
         sups = (_radial_sup(coeffs[0], np.ones(d), T),) + (1.0,) * (d + 1)
-        nonlin = PolynomialNonlinearity(m=d, indices=indices,
-                                        coeffs=coeffs, coeff_sup=sups)
-        return PdeModel(name=name, d=d, alpha=alpha, kappa=1.0,
-                        nonlinearity=nonlin, terminal=_bump_terminal(k, alpha, T),
-                        branching=uniform_branching(d + 2), lifetime=lifetime)
-
-    if name in ("burgers-halfspace", "burgers-cosine"):
+        terminal = _bump_terminal(k, alpha, T)
+    elif name in ("burgers-halfspace", "burgers-cosine"):
         if not 1.0 < alpha <= 2.0:
             raise AdmissibilityError("gradient-bearing models require alpha in (1, 2]")
         # du/dt + kappa Delta_alpha u - u sum_j du/dx_j = 0 rearranged into the
         # canonical form gives the convection term coefficient -1
-        coeffs = (ConstantCoefficient(-1.0),) * d
-        sups = (1.0,) * d
-        nonlin = PolynomialNonlinearity(m=d, indices=_gradient_indices(d, d),
-                                        coeffs=coeffs, coeff_sup=sups)
+        indices = _gradient_indices(d, d)
+        coeffs, sups = (ConstantCoefficient(-1.0),) * d, (1.0,) * d
         if name == "burgers-halfspace":
             terminal = TerminalCondition(phi=HalfspaceIndicator(), sup_norm=1.0,
                                          lipschitz=None)
         else:
             terminal = TerminalCondition(phi=CosineProduct(d=d), sup_norm=1.0,
                                          lipschitz=float(np.sqrt(d)))
-        return PdeModel(name=name, d=d, alpha=alpha, kappa=kappa,
-                        nonlinearity=nonlin, terminal=terminal,
-                        branching=uniform_branching(d), lifetime=lifetime)
-
-    if name == "linear-test":
-        nonlin = PolynomialNonlinearity(m=0, indices=((1,),),
-                                        coeffs=(ConstantCoefficient(c),),
-                                        coeff_sup=(abs(c),))
+    elif name == "linear-test":
+        indices = ((1,),)
+        coeffs, sups = (ConstantCoefficient(c),), (abs(c),)
         terminal = TerminalCondition(phi=ConstantTerminal(1.0), sup_norm=1.0,
                                      lipschitz=0.0)
-        return PdeModel(name=name, d=d, alpha=alpha, kappa=kappa,
-                        nonlinearity=nonlin, terminal=terminal,
-                        branching=uniform_branching(1), lifetime=lifetime)
-
-    raise UnknownModelError(name)
+    else:
+        raise UnknownModelError(name)
+    nonlin = PolynomialNonlinearity(m=len(indices[0]) - 1, indices=indices,
+                                    coeffs=coeffs, coeff_sup=sups)
+    return PdeModel(name=name, d=d, alpha=alpha, kappa=float(kappa),
+                    nonlinearity=nonlin, terminal=terminal,
+                    branching=uniform_branching(len(indices)),
+                    lifetime=lifetime)

@@ -217,13 +217,13 @@ def test_criterion_09_existence_thresholds(report_line):
     # Corollary i at p = 1: convergence iff alpha > 1
     for alpha in (0.6, 0.7, 0.8, 0.9, 0.95, 1.05, 1.2, 1.4, 1.6, 1.8):
         chk = check_theorem2(ScaledStable(alpha=alpha),
-                             delta=0.5, p=1.0, T=1.0)
+                             delta=0.5, p=1.0)
         if chk.cond_eta != (alpha > 1.0):
             failures.append(("p=1", alpha))
     # Corollary ii at p = 2, alpha = 1.5: convergence iff delta < 2 - 2/alpha
     for delta in (0.2, 0.35, 0.5, 0.6, 0.63, 0.70, 0.75, 0.85, 1.0, 1.2):
         chk = check_theorem2(ScaledStable(alpha=1.5),
-                             delta=delta, p=2.0, T=1.0)
+                             delta=delta, p=2.0)
         if chk.cond_eta != (delta < 2.0 / 3.0):
             failures.append(("p=2", delta))
     _check(report_line, 9, not failures,

@@ -162,17 +162,34 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith(
             "budget exceeded after 2000 trees: tree outgrew its budget")
 
-    def test_catalog_cosine_folds_in_bounded_memory(self, tmp_path):
+    @pytest.mark.parametrize("mark", [0, 1])
+    def test_catalog_cosine_folds_in_bounded_memory(self, tmp_path, mark):
         """Catalog burgers-cosine at d = 1000, one 25k-tree batch at x = 0:
         its terminal folds at every coordinate, so a block of points is not
-        evaluated on a copy of x + disp.  The run peaks at 1.34 GB RSS and
-        fits in 1.75 GiB of address space; called as it is, the cosine
-        product peaked at 1.76 GB and ran out of memory there."""
+        evaluated on a copy of x + disp, and each displacement is held once,
+        a marked leaf's birth being its parent's row and a root leaf's the
+        point.  The run peaks at 1.23 GB RSS at either mark and fits in
+        1.5 GiB of address space; with a second (M, d) copy of the births
+        and a zero row per root leaf, it peaked at 1.34 GB (mark 0) and
+        1.69 GB (mark 1) and ran out of memory there."""
         cfg = _write_cfg(tmp_path, "cfg.json", {
             "model": "burgers-cosine", "d": 1000, "alpha": 1.5, "t": 0.9,
-            "T": 1.0, "n_trees": 25_000})
-        proc = _run_capped("estimate", cfg, gib=1.75)
+            "T": 1.0, "n_trees": 25_000, "mark": mark})
+        proc = _run_capped("estimate", cfg, gib=1.5)
         assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_scalar_x_broadcasts(self, tmp_path):
+        # "x": 0.2 at d = 3 is the point (0.2, 0.2, 0.2)
+        doc = {"model": "burgers-cosine", "d": 3, "alpha": 1.5, "t": 0.8,
+               "T": 1.0, "n_trees": 2_000, "seed": 4}
+        csvs = []
+        for x in (0.2, [0.2, 0.2, 0.2]):
+            cfg = _write_cfg(tmp_path, "cfg.json", {**doc, "x": x})
+            out = tmp_path / "r.csv"
+            assert main(["estimate", "--config", cfg,
+                         "--out", str(out)]) == EXIT_OK
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_inline_model(self, tmp_path):
         # f = 0.8 u with phi = 1 expressed inline; same solution e^(0.8 (T-t))
@@ -271,6 +288,15 @@ class TestSweep:
                                                 "n_trees": 1_000,
                                                 "grid": "0:1:2"})
         _unwritable_fails_fast("sweep", cfg, tmp_path, capsys, monkeypatch)
+
+    def test_strict_refuses_uncertified(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "cfg.json", {
+            "model": "nld", "d": 1, "alpha": 1.5, "k": 1, "t": 0.5, "T": 1.0,
+            "n_trees": 1000, "p": 2.0, "grid": "0:1:3"})
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", cfg, "--strict",
+                     "--out", str(out)]) == EXIT_UNCERTIFIED
+        assert not out.exists()
 
     def test_bad_grid(self, tmp_path):
         cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "grid": "0:1"})
@@ -586,13 +612,20 @@ class TestConfigErrors:
         ("estimate", {**LINEAR_CFG, "strict": 1}, []),
         ("check", {"model": "linear-test", "paper_literal": "false"}, []),
         ("check", {"model": "linear-test", "paper_literal": 1}, []),
+        # a config is a JSON object that names or defines a model
+        ("estimate", [LINEAR_CFG], []),
+        ("estimate", {"t": 0.5, "n_trees": 100}, []),
+        # alpha lies in (0, 2]
+        ("estimate", {**LINEAR_CFG,
+                      "model": {**_INLINE, "alpha": 2.5}}, []),
     ], ids=[f"{command}-seed{seed}"
             for command in ("estimate", "sweep", "sample-diag")
             for seed in ("-1", "2^64")] + [
         "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
         "n_samples", "inline-index-fraction", "inline-q-string",
         "inline-terminal-t", "workers-zero", "strict-string", "strict-int",
-        "paper-literal-string", "paper-literal-int"])
+        "paper-literal-string", "paper-literal-int", "not-an-object",
+        "no-model", "inline-alpha"])
     def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
         assert main([command, "--config", cfg] + flags) == EXIT_CONFIG

@@ -416,14 +416,15 @@ def _particle_products(model, skeleton, x, mark) -> list:
     each particle's float factors (its weight, and phi or c_l), multiplied
     as Fractions.  A root (row i for tree i) of mark theta >= 1 also takes
     W = dx_theta / ds, its move over its subordinator increment, and a root
-    leaf subtracts phi at the origin."""
+    leaf subtracts phi at the origin.  Any other marked leaf subtracts phi
+    at its birth, its parent's displacement at death."""
     sk = skeleton
     phi = model.terminal.phi
     # each leaf row's position among the leaves, each interior row's category
     leaf_at = {row: i for i, row in enumerate(sk.rows[0].tolist())}
     category = {row: ci for ci, rows in enumerate(sk.rows[1:])
                 for row in rows.tolist()}
-    births = dict(zip(sk.marked_rows.tolist(), sk.marked_birth))
+    births = dict(zip(sk.marked_rows.tolist(), sk.disp[sk.marked_parent]))
     h = [Fraction(1)] * sk.particles.size
     if mark:
         for root, ds in enumerate(sk.root_ds.tolist()):
@@ -513,7 +514,7 @@ class TestFlatSkeleton:
 
         # the plan's terms: the leaves, then each category whose coefficient
         # is not constant and that has rows, then the marked leaves' births,
-        # the root leaves' at the origin last
+        # their parents' rows of disp
         sk = skeleton
         phi, coeffs = model.terminal.phi, model.nonlinearity.coeffs
         kinds = [(phi, sk.disp[sk.rows[0]], ())] + [
@@ -521,15 +522,18 @@ class TestFlatSkeleton:
             for coeff, rows in zip(coeffs, sk.rows[1:])
             if not isinstance(coeff, ConstantCoefficient) and rows.size]
         terms = list(plan.terms)
-        # the root leaves are the leaves at rows 0..n-1
-        root_leaves = np.flatnonzero(sk.rows[0] < n) if mark else []
         if plan.marked.size:
-            kinds.append((phi, np.concatenate(
-                [sk.marked_birth, np.zeros((len(root_leaves), d))]), ()))
+            kinds.append((phi, sk.disp[sk.marked_parent], ()))
             terms.append(plan.births)
-        assert np.array_equal(plan.marked,
-                              np.concatenate([sk.marked_rows, root_leaves]))
+        assert np.array_equal(plan.marked, sk.marked_rows)
         assert len(terms) == len(kinds)
+        # the root leaves, the leaves at rows 0..n-1, subtract phi at the
+        # point for a mark >= 1, with the bits of phi at x plus a zero
+        # displacement
+        roots = np.count_nonzero(sk.rows[0] < n) if mark else 0
+        assert plan.roots == roots and plan.phi is phi
+        want = np.array([phi(x + np.zeros((1, d)))[0] for x in points])
+        assert plan.phi(points + 0.0).tobytes() == want.tobytes()
         # a radial or folded term reads the coordinates up to the last one
         # whose bits differ between the points, any other term all of them
         differ = [j for j in range(d)

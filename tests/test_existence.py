@@ -80,7 +80,7 @@ class _Bounded(LaplaceExponent):
 class TestTheorem2:
     def test_exponent_value(self):
         # stable eta makes the integrand scale like s^((1-p)(delta-1) - p/alpha)
-        chk = check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=2.0, T=1.0)
+        chk = check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=2.0)
         assert chk.eta_exponent == pytest.approx(-5.0 / 6.0, abs=5e-3)
         assert chk.cond_eta and chk.cond_rho and chk.cd_check
         assert not chk.inconclusive
@@ -91,7 +91,7 @@ class TestTheorem2:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         chk = check_theorem2(ScaledStable(alpha=alpha),
-                                             delta=delta, p=p, T=1.0)
+                                             delta=delta, p=p)
                     assert chk.eta_exponent == pytest.approx(
                         (1.0 - delta) * (p - 1.0) - p / alpha, abs=1e-9)
 
@@ -99,22 +99,22 @@ class TestTheorem2:
         # delta < 2 - 2/alpha at p = 2
         alpha = 1.5
         good = check_theorem2(ScaledStable(alpha=alpha),
-                              delta=0.4, p=2.0, T=1.0)
+                              delta=0.4, p=2.0)
         bad = check_theorem2(ScaledStable(alpha=alpha),
-                             delta=0.9, p=2.0, T=1.0)
+                             delta=0.9, p=2.0)
         assert good.cond_eta
         assert not bad.cond_eta and not bad.inconclusive
 
     def test_p1_always_holds_for_admissible_alpha(self):
         for alpha in (1.2, 1.5, 1.8):
             chk = check_theorem2(ScaledStable(alpha=alpha),
-                                 delta=0.5, p=1.0, T=1.0)
+                                 delta=0.5, p=1.0)
             assert chk.cond_rho and chk.cond_eta
 
     def test_cond_rho(self):
-        ok = check_theorem2(ScaledStable(alpha=1.5), delta=1.9, p=2.0, T=1.0)
+        ok = check_theorem2(ScaledStable(alpha=1.5), delta=1.9, p=2.0)
         assert ok.cond_rho
-        div = check_theorem2(ScaledStable(alpha=1.5), delta=2.5, p=2.0, T=1.0)
+        div = check_theorem2(ScaledStable(alpha=1.5), delta=2.5, p=2.0)
         assert not div.cond_rho
 
     @pytest.mark.parametrize("eta, beta", [
@@ -125,22 +125,22 @@ class TestTheorem2:
         # eta grows like l^beta, so at p = 1 the inner integral of
         # exp(-s eta) l^(-1/2) scales like s^(-1/(2 beta)) as s -> 0
         for delta in (0.3, 0.5):
-            chk = check_theorem2(eta, delta=delta, p=1.0, T=1.0)
+            chk = check_theorem2(eta, delta=delta, p=1.0)
             assert chk.eta_exponent == pytest.approx(-0.5 / beta, abs=5e-3)
             assert chk.cond_eta and not chk.inconclusive
 
     def test_bounded_eta_diverges(self):
         # the inner integral of exp(-s eta) l^(p/2-1) is infinite at every s
-        chk = check_theorem2(_Bounded(), delta=0.5, p=1.0, T=1.0)
+        chk = check_theorem2(_Bounded(), delta=0.5, p=1.0)
         assert chk.eta_exponent < -1.0
         assert not chk.cond_eta and not chk.cd_check
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            check_theorem2(ScaledStable(alpha=1.5), delta=0.0, p=2.0, T=1.0)
+            check_theorem2(ScaledStable(alpha=1.5), delta=0.0, p=2.0)
         for p in (0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
-                check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=p, T=1.0)
+                check_theorem2(ScaledStable(alpha=1.5), delta=0.5, p=p)
 
 
 class TestHorizonBoundA:
@@ -350,6 +350,16 @@ class TestHorizonReport:
                                           p=2.0, T=1.0)
         assert rep.verdict == "uncertified"
         assert not rep.cond_eta  # delta = 0.9 > 2 - 2/alpha = 2/3
+
+    def test_alpha_below_one_notes_both_routes(self):
+        # the horizon bounds need alpha in (1, 2]
+        model = builtin_model("nld", d=2, alpha=0.9, k=1)
+        rep = build_horizon_report(model, ScaledStable(alpha=0.9),
+                                   p=2.0, T=1.0)
+        assert rep.verdict == "uncertified"
+        for route in "ab":
+            assert any(note.startswith(f"route {route} unavailable")
+                       for note in rep.notes)
 
     def test_halfspace_notes_not_lipschitz(self):
         model = builtin_model("burgers-halfspace", d=2, alpha=1.5, kappa=10.0)

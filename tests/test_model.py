@@ -174,6 +174,10 @@ class TestComponents:
             PolynomialNonlinearity(m=0, indices=((1,), (2,)),
                                    coeffs=(ConstantCoefficient(1.0),),
                                    coeff_sup=(1.0,))
+        with pytest.raises(DomainError):     # L_m is empty
+            PolynomialNonlinearity(m=0, indices=(), coeffs=(), coeff_sup=())
+        with pytest.raises(DomainError):
+            dataclasses.replace(m2, coeff_sup=(-1.0,))
 
     @pytest.mark.parametrize("coeff,phi", [
         (NldSource(k=1, alpha=1.5, d=3), ConstantTerminal()),

@@ -306,6 +306,9 @@ class TestPsiGetoor:
             psi_getoor(0, 2.0, 1, np.zeros(1))
         with pytest.raises(DomainError):
             psi_getoor(0, 1.5, 2, np.zeros(3))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError):
+                psi_getoor(0, 1.5, 2, np.array([0.5, bad]))
         # the batch form (an inline model's psi_getoor) refuses k < 0 even
         # when every point is exterior
         with pytest.raises(DomainError):

@@ -152,6 +152,28 @@ def test_grid_rejects_foreign_point():
     grid = engine.Grid([[0.0], [0.5]])
     with pytest.raises(DomainError):
         engine.estimate(model, 0.5, np.array([0.25]), 0, 1.0, 100, grid=grid)
+    # a grid's points form a (G, d) array
+    with pytest.raises(DomainError):
+        engine.Grid([0.1, 0.2])
+
+
+def test_grid_finds_a_point_by_its_bits():
+    """A point is looked up in the grid's index: -0.0 finds a 0.0 row and
+    0.0 a -0.0 row, the first of equal rows answers for each of them, and
+    the points are read-only, so the index cannot go stale."""
+    model = resolve_model({"model": "nld", "d": 2, "k": 1})
+    grid = engine.Grid([[0.0, 0.5], [0.5, -0.0], [-0.0, 0.5], [0.5, 0.0]])
+
+    def at(x):
+        return engine.estimate(model, 0.5, np.array(x), 0, 1.0, 2_000,
+                               grid=grid)
+
+    first = at([-0.0, 0.5])
+    assert first is grid._results[0]
+    assert at([0.0, 0.5]) is first
+    assert at([0.5, 0.0]) is at([0.5, -0.0]) is grid._results[1]
+    with pytest.raises(ValueError):
+        grid.points[0, 0] = 1.0
 
 
 def test_grid_reruns_for_new_parameters():
