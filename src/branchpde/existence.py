@@ -42,16 +42,14 @@ from .model import PdeModel
 from .specfun import gamma_fn, upper_reg_gamma
 
 
-def abs_gaussian_moment(p: float, paper_literal: bool = False) -> float:
-    """E|N(0,1)|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi); ``paper_literal``
-    switches to the variant 2^p Gamma(p + 1/2) / sqrt(pi).  Either is one
-    exponential of a log-Gamma sum, so a value beyond the float range reads
-    as infinite."""
+def abs_gaussian_moment(p: float) -> float:
+    """E|N(0,1)|^p = 2^(p/2) Gamma((p+1)/2) / sqrt(pi), as one exponential
+    of a log-Gamma sum, so a value beyond the float range reads as
+    infinite."""
     if p <= 0.0:
         raise DomainError(f"p must be positive, got {p}")
-    s = p if paper_literal else p / 2.0
     try:
-        return math.exp(s * math.log(2.0) + math.lgamma(s + 0.5)
+        return math.exp(p / 2.0 * math.log(2.0) + math.lgamma(p / 2.0 + 0.5)
                         - 0.5 * math.log(math.pi))
     except OverflowError:
         return math.inf
@@ -106,8 +104,8 @@ def _gamma_sup(b: float, c: float, scale: float, T: float) -> float:
         return math.inf
 
 
-def _log_partial_ratio(model: PdeModel, p: float, e: float, T: float,
-                       paper_literal: bool) -> float:
+def _log_partial_ratio(model: PdeModel, p: float, e: float,
+                       T: float) -> float:
     """log(C_partial / survival(T)^e), summed in logs so that no factor
     under- or overflows: -inf when phi = 0, and inf once survival(T)
     underflows to 0, so that a long horizon is not certified."""
@@ -122,7 +120,7 @@ def _log_partial_ratio(model: PdeModel, p: float, e: float, T: float,
     sup = model.terminal.sup_norm
     logs = [p * math.log(sup) if sup else -math.inf]
     if lip:
-        logs.append(math.log(abs_gaussian_moment(p, paper_literal))
+        logs.append(math.log(abs_gaussian_moment(p))
                     + p * math.log(lip) + 0.5 * math.log(model.d))
     return max(logs) - e * math.log(survival)
 
@@ -157,8 +155,7 @@ def _route_constant(model: PdeModel, p: float, e: float, T: float) -> float:
         return math.inf
 
 
-def horizon_bound_a(model: PdeModel, p: float, T: float,
-                    paper_literal: bool = False):
+def horizon_bound_a(model: PdeModel, p: float, T: float):
     """Route a: (C_circ, C_partial / survival(T)^p, certified)."""
     c_circ = _route_constant(model, p, p, T)
     alpha, delta = model.alpha, model.lifetime.delta
@@ -167,7 +164,7 @@ def horizon_bound_a(model: PdeModel, p: float, T: float,
             f"route a needs delta <= 1 - 1/alpha = {1.0 - 1.0 / alpha:.6g}, "
             f"got {delta}")
     try:
-        ratio = math.exp(_log_partial_ratio(model, p, p, T, paper_literal))
+        ratio = math.exp(_log_partial_ratio(model, p, p, T))
     except OverflowError:
         ratio = math.inf
     return c_circ, ratio, (c_circ <= 1.0 and ratio <= 1.0)
@@ -209,8 +206,7 @@ def _tail_integral(terms, u_lo: float) -> float:
         limit=400)[0]
 
 
-def horizon_bound_b(model: PdeModel, p: float, T: float,
-                    paper_literal: bool = False):
+def horizon_bound_b(model: PdeModel, p: float, T: float):
     """Route b: (C_tilde, t3b_bound, certified).
 
     The orders are those of the terms with a nonzero sup.  When their
@@ -232,7 +228,7 @@ def horizon_bound_b(model: PdeModel, p: float, T: float,
         return c_tilde, math.inf, True
     if not 0.0 < c_tilde < math.inf:    # overflowed, or underflowed to 0
         return c_tilde, 0.0, False
-    u_lo = _log_partial_ratio(model, p, r, T, paper_literal)
+    u_lo = _log_partial_ratio(model, p, r, T)
     if u_lo == math.inf:
         return c_tilde, 0.0, False
     bound = _tail_integral(terms, u_lo) / c_tilde
@@ -253,8 +249,7 @@ class HorizonReport:
 
 
 def build_horizon_report(model: PdeModel, eta: LaplaceExponent, p: float,
-                         T: float,
-                         paper_literal: bool = False) -> HorizonReport:
+                         T: float) -> HorizonReport:
     """Evaluate both certification routes and the Theorem-2 hypotheses."""
     t2 = check_theorem2(eta, model.lifetime.delta, p)
     notes = []
@@ -268,15 +263,15 @@ def build_horizon_report(model: PdeModel, eta: LaplaceExponent, p: float,
     ratio = math.inf
     cert_a = False
     try:
-        c_circ, ratio, cert_a = horizon_bound_a(model, p, T, paper_literal)
-    except (AdmissibilityError, NotLipschitzError) as exc:
+        c_circ, ratio, cert_a = horizon_bound_a(model, p, T)
+    except AdmissibilityError as exc:
         notes.append(f"route a unavailable: {exc}")
 
     t3b = 0.0
     cert_b = False
     try:
-        _, t3b, cert_b = horizon_bound_b(model, p, T, paper_literal)
-    except (AdmissibilityError, NotLipschitzError) as exc:
+        _, t3b, cert_b = horizon_bound_b(model, p, T)
+    except AdmissibilityError as exc:
         notes.append(f"route b unavailable: {exc}")
 
     if cert_a:

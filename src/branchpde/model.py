@@ -247,9 +247,10 @@ MAX_BATCH_FLOATS = 62_500_000
 
 @dataclass(frozen=True)
 class PolynomialNonlinearity:
-    """f(t,x,y,z) = sum_l c_l(t,x) y^(l_0) prod_i z_i^(l_i) over l in L_m."""
+    """f(t,x,y,z) = sum_l c_l(t,x) y^(l_0) prod_i z_i^(l_i) over l in L_m.
 
-    m: int
+    The multi-indices share one length, m + 1, which is how m is read."""
+
     indices: tuple          # tuple of multi-indices, each of length m + 1
     coeffs: tuple           # coefficient callables, aligned with indices
     coeff_sup: tuple        # sup-norm bound per coefficient
@@ -257,9 +258,10 @@ class PolynomialNonlinearity:
     def __post_init__(self):
         if not self.indices:
             raise DomainError("L_m must be non-empty")
+        n = len(self.indices[0])
         for l in self.indices:
-            if len(l) != self.m + 1 or any(v < 0 for v in l):
-                raise DomainError(f"multi-index {l} must have {self.m + 1} "
+            if len(l) != n or any(v < 0 for v in l):
+                raise DomainError(f"multi-index {l} must have {n} "
                                   "non-negative entries")
         # the child marks of every category are laid out in one array
         if sum(map(sum, self.indices)) > MAX_BATCH_FLOATS:
@@ -358,7 +360,7 @@ class PdeModel:
 
     @property
     def m(self) -> int:
-        return self.nonlinearity.m
+        return len(self.nonlinearity.indices[0]) - 1
 
 
 def audit_coeff_sup(model: PdeModel, T: float = 1.0) -> tuple:
@@ -433,13 +435,15 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
     """Benchmark catalog: nld, gradd, burgers-halfspace, burgers-cosine,
     linear-test.
 
-    ``T`` fixes the terminal condition of the manufactured solutions
+    A finite ``T`` fixes the terminal condition of the manufactured solutions
     (phi = e^(-T) Phi_(k,alpha)), which solve the equation at kappa = 1
     only, so nld and gradd refuse any other ``kappa``; ``c`` is the rate of
     linear-test; ``delta`` the gamma lifetime shape.
     """
     if d < 1:
         raise AdmissibilityError(f"dimension must be positive, got {d}")
+    if not np.isfinite(T):
+        raise AdmissibilityError(f"T must be finite, got {T}")
     if name in ("nld", "gradd") and kappa != 1.0:
         raise AdmissibilityError(f"{name} requires kappa = 1, got {kappa}")
     # a bad delta is refused before an unknown name or a bad alpha
@@ -484,8 +488,8 @@ def builtin_model(name: str, d: int = 1, alpha: float = 1.5, k: int = 0,
                                      lipschitz=0.0)
     else:
         raise UnknownModelError(name)
-    nonlin = PolynomialNonlinearity(m=len(indices[0]) - 1, indices=indices,
-                                    coeffs=coeffs, coeff_sup=sups)
+    nonlin = PolynomialNonlinearity(indices=indices, coeffs=coeffs,
+                                    coeff_sup=sups)
     return PdeModel(name=name, d=d, alpha=alpha, kappa=float(kappa),
                     nonlinearity=nonlin, terminal=terminal,
                     branching=uniform_branching(len(indices)),

@@ -194,7 +194,7 @@ class TestEstimate:
     def test_inline_model(self, tmp_path):
         # f = 0.8 u with phi = 1 expressed inline; same solution e^(0.8 (T-t))
         cfg = _write_cfg(tmp_path, "cfg.json", {
-            "model": {"d": 1, "m": 0, "indices": [[1]], "coeffs": [0.8],
+            "model": {"d": 1, "indices": [[1]], "coeffs": [0.8],
                       "coeff_sup": [0.8],
                       "terminal": {"expr": "1", "sup": 1.0, "lipschitz": 0.0},
                       "alpha": 1.5, "delta": 0.5},
@@ -266,7 +266,7 @@ class TestSweep:
         # or in pool workers, whose stderr capfd also reads
         monkeypatch.setattr(engine, "BATCH_TREES", 500)
         cfg = _write_cfg(tmp_path, "cfg.json", {
-            "model": {"d": 1, "m": 0, "indices": [[2]], "coeffs": [1e300],
+            "model": {"d": 1, "indices": [[2]], "coeffs": [1e300],
                       "coeff_sup": [1e300],
                       "terminal": {"expr": "2", "sup": 2.0}},
             "t": 0.0, "T": 1.0, "n_trees": 2_000, "seed": 1,
@@ -298,9 +298,16 @@ class TestSweep:
                      "--out", str(out)]) == EXIT_UNCERTIFIED
         assert not out.exists()
 
-    def test_bad_grid(self, tmp_path):
-        cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG, "grid": "0:1"})
-        assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+    def test_bad_grid(self, tmp_path, capsys):
+        # a grid's bounds are finite and ordered: refused, typed, without
+        # a warning
+        for grid in ("0:1", "1:0:3", "-inf:inf:3", "0:nan:3", "0:1:0"):
+            cfg = _write_cfg(tmp_path, "cfg.json", {**LINEAR_CFG,
+                                                    "grid": grid})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_huge_grid_is_refused_in_bounded_memory(self, tmp_path):
         """5e7 points of nld at d = 10 would take 4 GB; a sweep run in a
@@ -333,7 +340,7 @@ class TestCheck:
         # f = 0.1 u + 0.1 u^2 from a_lo = 0.0014: the bound is
         # (1/c1) ln(1 + c1/(c2 a_lo)) / C_tilde = 34.416 > T
         cfg = _write_cfg(tmp_path, "cfg.json", {
-            "model": {"name": "quad-toy", "d": 1, "m": 0, "alpha": 2.0,
+            "model": {"name": "quad-toy", "d": 1, "alpha": 2.0,
                       "kappa": 1.0, "delta": 0.05, "indices": [[1], [2]],
                       "coeffs": [0.1, 0.1], "coeff_sup": [0.1, 0.1],
                       "terminal": {"expr": "0.01", "sup": 0.01,
@@ -359,7 +366,7 @@ class TestCheck:
         # |c| = |10 cos(x1)| reaches 10, but 0.01 is declared: taken at its
         # word, the bound certifies route a (C_circ = 0.0066)
         cfg = _write_cfg(tmp_path, "cfg.json", {
-            "model": {"d": 1, "m": 0, "alpha": 1.5, "delta": 0.3,
+            "model": {"d": 1, "alpha": 1.5, "delta": 0.3,
                       "indices": [[2]], "coeffs": ["10*cos(x1)"],
                       "coeff_sup": [0.01],
                       "terminal": {"expr": "0.05*cos(x1)", "sup": 0.05,
@@ -379,6 +386,18 @@ class TestCheck:
                      "--strict"]) == EXIT_UNCERTIFIED
         assert "refusing to run" in capsys.readouterr().err and not calls
 
+
+    @pytest.mark.parametrize("name", ["nld", "gradd"])
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_catalog_T_is_refused(self, tmp_path, capsys, name,
+                                             T):
+        # refused before the coefficient scan reads T, so without a warning
+        cfg = _write_cfg(tmp_path, "cfg.json", {"model": name, "d": 2,
+                                                "T": T})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == EXIT_CONFIG
+        assert "T must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {"model": "linear-test", "alpha": 1.5, "T": 700.0},
@@ -416,7 +435,7 @@ class TestCheck:
 class TestSampleDiag:
     def test_csv_and_summary(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "cfg.json",
-                         {"alpha": 1.5, "t": 1.0, "n_samples": 2_000,
+                         {"alpha": 1.5, "t": 1.0, "n_trees": 2_000,
                           "seed": 0})
         out = tmp_path / "s.csv"
         assert main(["sample-diag", "--config", cfg,
@@ -429,10 +448,13 @@ class TestSampleDiag:
         assert "lambda=1.0" in err and "MISMATCH" not in err
 
     def test_insufficient_n(self, tmp_path, capsys):
+        # --n-trees overrides the config's n_trees, as for every command
         cfg = _write_cfg(tmp_path, "cfg.json",
-                         {"alpha": 1.5, "t": 1.0, "n_samples": 100})
-        assert main(["sample-diag", "--config", cfg,
-                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+                         {"alpha": 1.5, "t": 1.0, "n_trees": 2_000})
+        out = tmp_path / "s.csv"
+        assert main(["sample-diag", "--config", cfg, "--n-trees", "100",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 101
         assert "insufficient n" in capsys.readouterr().err
 
 
@@ -568,7 +590,7 @@ class TestConfigErrors:
         assert main(["estimate", "--config", cfg]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command, doc", [
-        ("sample-diag", {"t": math.nan, "n_samples": 10}),
+        ("sample-diag", {"t": math.nan, "n_trees": 10}),
         ("estimate", {"model": "burgers-cosine", "d": 2, "kappa": math.nan,
                       "t": 0.5, "n_trees": 200}),
         ("estimate", {"model": {**_INLINE, "coeffs": [math.nan]},
@@ -586,7 +608,7 @@ class TestConfigErrors:
             assert main([command, "--config", cfg]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command, doc, flags", [
-        (command, {**LINEAR_CFG, "grid": "0:1:2", "n_samples": 10},
+        (command, {**LINEAR_CFG, "grid": "0:1:2"},
          ["--seed", seed])
         for command in ("estimate", "sweep", "sample-diag")
         for seed in ("-1", str(2 ** 64))] + [
@@ -598,10 +620,13 @@ class TestConfigErrors:
         ("estimate", {**LINEAR_CFG, "model": "nld", "d": "x"}, []),
         ("estimate", {**LINEAR_CFG, "model": "nld", "d": 2.5}, []),
         ("check", {"model": "linear-test", "p": "x"}, []),
-        ("sample-diag", {"n_samples": "x"}, []),
+        ("sample-diag", {"n_trees": "x"}, []),
+        ("sample-diag", {"n_trees": 0}, []),
         ("estimate", {**LINEAR_CFG,
                       "model": {**_INLINE, "indices": [[1.5]]}}, []),
         ("estimate", {**LINEAR_CFG, "model": {**_INLINE, "q": ["1"]}}, []),
+        ("estimate", {**LINEAR_CFG,
+                      "model": {**_INLINE, "coeffs": [True]}}, []),
         # phi is a function of x alone
         ("estimate", {**LINEAR_CFG, "model": {
             **_INLINE, "coeffs": [0.0],
@@ -610,8 +635,6 @@ class TestConfigErrors:
         # flags are JSON true or false, not their spelling or a number
         ("estimate", {**LINEAR_CFG, "strict": "false"}, []),
         ("estimate", {**LINEAR_CFG, "strict": 1}, []),
-        ("check", {"model": "linear-test", "paper_literal": "false"}, []),
-        ("check", {"model": "linear-test", "paper_literal": 1}, []),
         # a config is a JSON object that names or defines a model
         ("estimate", [LINEAR_CFG], []),
         ("estimate", {"t": 0.5, "n_trees": 100}, []),
@@ -622,9 +645,10 @@ class TestConfigErrors:
             for command in ("estimate", "sweep", "sample-diag")
             for seed in ("-1", "2^64")] + [
         "n_trees", "T", "x", "mark", "budget", "d", "d-fraction", "check-p",
-        "n_samples", "inline-index-fraction", "inline-q-string",
+        "sample-diag-n_trees", "sample-diag-n_trees-zero",
+        "inline-index-fraction", "inline-q-string", "inline-coeff-bool",
         "inline-terminal-t", "workers-zero", "strict-string", "strict-int",
-        "paper-literal-string", "paper-literal-int", "not-an-object",
+        "not-an-object",
         "no-model", "inline-alpha"])
     def test_bad_value_is_typed(self, tmp_path, capsys, command, doc, flags):
         cfg = _write_cfg(tmp_path, "cfg.json", doc)
@@ -670,7 +694,7 @@ def _inline_models(draw):
     coeffs = draw(st.lists(st.one_of(st.floats(-2.0, 2.0),
                                      st.sampled_from(_EXPRESSIONS)),
                            min_size=n_cat, max_size=n_cat))
-    return {"d": d, "m": m, "indices": indices, "coeffs": coeffs,
+    return {"d": d, "indices": indices, "coeffs": coeffs,
             "coeff_sup": [abs(c) if isinstance(c, float) else 1.0
                           for c in coeffs],
             "terminal": {"expr": draw(st.sampled_from(_EXPRESSIONS)),

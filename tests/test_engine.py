@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from branchpde import engine
 from branchpde.cli import EXIT_BUDGET, main, resolve_model
@@ -33,7 +34,7 @@ def _pure_heat_model(d=2, bound=50.0):
     """f = 0 and a clipped-coordinate terminal: u(t, x) ~ x_1 away from the
     clip, du/dx_1 ~ 1, du/dx_2 ~ 0."""
     nonlin = PolynomialNonlinearity(
-        m=0, indices=((1,),), coeffs=(ConstantCoefficient(0.0),),
+        indices=((1,),), coeffs=(ConstantCoefficient(0.0),),
         coeff_sup=(0.0,))
     terminal = TerminalCondition(phi=ClippedCoordinate(index=1, bound=bound),
                                  sup_norm=bound, lipschitz=1.0)
@@ -117,6 +118,84 @@ class TestUnbiasedness:
         res = estimate(model, 0.5, np.zeros(1), 1, 1.0, n_trees=200_000,
                        master_seed=5)
         assert abs(res.mean) < 4.0 * res.stderr
+
+
+def _fourier_model(alpha, kappa, xi, c=0.5):
+    """f = c u and phi = cos(xi . x): u = cos(xi . x) e^((T-t)(c -
+    kappa |xi|^alpha)) solves the equation exactly."""
+    phase = " + ".join(f"{k!r} * x{j}" for j, k in enumerate(xi, 1))
+    return resolve_model({"model": {
+        "d": len(xi), "alpha": alpha, "kappa": kappa, "indices": [[1]],
+        "coeffs": [c], "coeff_sup": [c],
+        "terminal": {"expr": f"cos({phase})", "sup": 1.0,
+                     "lipschitz": float(np.linalg.norm(xi))}}})
+
+
+def _cole_hopf(tau, s, nu):
+    """w(tau, s) and w_s of viscous Burgers w_tau + w w_s = nu w_ss with
+    w(0, s) = cos(s), by Cole-Hopf: w = -2 nu theta_s / theta, where theta
+    solves the heat equation from e^(-sin(s) / (2 nu)).  Each theta
+    integral is a quadrature against the heat kernel, y = s - sigma z."""
+    sigma = math.sqrt(2.0 * nu * tau)
+
+    def gauss(g):
+        return integrate.quad(
+            lambda z: math.exp(-z * z / 2.0 - math.sin(s - sigma * z)
+                               / (2.0 * nu)) * g(z, s - sigma * z),
+            -12.0, 12.0, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+    den = gauss(lambda z, y: 1.0)
+    num = gauss(lambda z, y: math.cos(y))
+    # d/ds of the kernel integral is -(1/sigma) times the z-weighted one
+    den_s = -gauss(lambda z, y: z) / sigma
+    num_s = -gauss(lambda z, y: z * math.cos(y)) / sigma
+    return num / den, (num_s * den - num * den_s) / den ** 2
+
+
+class TestExactOracles:
+    """Estimates against closed forms at kappa != 1 and for the gradient
+    categories, within 4 stderr at fixed seeds."""
+
+    @pytest.mark.parametrize("alpha,kappa,xi", [
+        (1.5, 10.0, (1.0, 0.5)),
+        (1.2, 2.0, (1.0, 0.5) + (0.2,) * 8),
+    ], ids=["d2", "d10"])
+    def test_fourier_mode(self, alpha, kappa, xi):
+        # u = cos(xi . x) e^(0.1 (0.5 - kappa |xi|^alpha)) at t = 0.9, and
+        # du/dx_i = -xi_i sin(xi . x) times the same factor: the
+        # subordinated moves scale as kappa^(1/alpha)
+        model = _fourier_model(alpha, kappa, xi)
+        xi = np.array(xi)
+        x = np.full(xi.size, 0.3)
+        decay = math.exp(0.1 * (0.5 - kappa * np.linalg.norm(xi) ** alpha))
+        exact = decay * np.concatenate(
+            [[math.cos(xi @ x)], -xi * math.sin(xi @ x)])
+        results = [estimate(model, 0.9, x, 0, 1.0, n_trees=100_000,
+                            master_seed=1)]
+        results += estimate_gradient_all(model, 0.9, x, 1.0, n_trees=100_000,
+                                         master_seed=1)
+        for res, value in zip(results, exact):
+            assert abs(res.mean - value) < 4.0 * res.stderr
+
+    def test_burgers_cole_hopf(self):
+        # f = -u (du/dx_1 + du/dx_2) at alpha = 2, kappa = 0.5 and phi =
+        # 0.5 cos(x1 + x2): u = v(t, x1 + x2), and w = 2 v solves viscous
+        # Burgers with nu = 2 kappa in tau = T - t
+        model = resolve_model({"model": {
+            "d": 2, "alpha": 2.0, "kappa": 0.5,
+            "indices": [[1, 1, 0], [1, 0, 1]], "coeffs": [-1, -1],
+            "coeff_sup": [1, 1],
+            "terminal": {"expr": "0.5 * cos(x1 + x2)", "sup": 0.5,
+                         "lipschitz": 0.5 * math.sqrt(2.0)}}})
+        assert model.m == 2
+        points = np.array([[x1, 0.0] for x1 in (-1.0, 0.0, 0.4, 1.2)])
+        grid = Grid(points)
+        for x in points:
+            w, w_s = _cole_hopf(0.1, x[0], 1.0)
+            for mark, value in ((0, w / 2.0), (1, w_s / 2.0)):
+                res = estimate(model, 0.9, x, mark, 1.0, n_trees=200_000,
+                               master_seed=3, grid=grid)
+                assert abs(res.mean - value) < 4.0 * res.stderr
 
 
 class TestDeterminism:
@@ -265,14 +344,14 @@ class TestSharedSkeleton:
 
 
 _NLD_INLINE = {
-    "d": 10, "m": 0, "alpha": 1.5, "indices": [[0], [1], [4]],
+    "d": 10, "alpha": 1.5, "indices": [[0], [1], [4]],
     "coeffs": ["exp(-t) * psi_getoor(1, 1.5) - exp(-4 * t) * "
                "pospart(1 - norm2()) ^ 7", 1, 1],
     "coeff_sup": [10.0, 1.0, 1.0],
     "terminal": {"expr": "0.36787944117144233 * phi_bump(1, 1.5)",
                  "sup": 0.37}}
 _GRADD_INLINE = {
-    "d": 2, "m": 2, "alpha": 1.5,
+    "d": 2, "alpha": 1.5,
     "indices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1]],
     "coeffs": ["exp(-t) * psi_getoor(1, 1.5) + 3.5 * exp(-2 * t) * "
                "pospart(1 - norm2()) ^ 2.5 * (x1 + x2)", 1, 1, 1],
@@ -286,7 +365,7 @@ def _burgers_inline(d):
     as an inline model."""
     half = repr(math.pi / 2.0)
     cosines = "*".join(f"cos(x{j})" for j in range(1, d + 1))
-    return {"d": d, "m": d, "alpha": 1.5,
+    return {"d": d, "alpha": 1.5,
             "indices": [[1] + [int(j == i) for j in range(d)]
                         for i in range(d)],
             "coeffs": [-1] * d, "coeff_sup": [1] * d,
@@ -646,7 +725,7 @@ class TestBudgets:
         # c = 1e300 with two children per death: a tree with two interior
         # particles has a product beyond the float range
         nonlin = PolynomialNonlinearity(
-            m=0, indices=((2,),), coeffs=(ConstantCoefficient(1e300),),
+            indices=((2,),), coeffs=(ConstantCoefficient(1e300),),
             coeff_sup=(1e300,))
         terminal = TerminalCondition(phi=ClippedCoordinate(index=1, bound=2.0),
                                      sup_norm=2.0, lipschitz=1.0)
@@ -665,7 +744,7 @@ class TestBudgets:
 
     def test_nan_terminal_is_typed(self):
         nonlin = PolynomialNonlinearity(
-            m=0, indices=((1,),), coeffs=(ConstantCoefficient(1.0),),
+            indices=((1,),), coeffs=(ConstantCoefficient(1.0),),
             coeff_sup=(1.0,))
         terminal = TerminalCondition(phi=lambda x: np.full(len(x), math.nan),
                                      sup_norm=1.0, lipschitz=None)

@@ -25,7 +25,7 @@ def _toy_model(c=0.1, phi_sup=0.5, lipschitz=0.0, alpha=2.0, delta=0.5,
                kappa=1.0, indices=((1,),), d=1):
     coeffs = tuple(ConstantCoefficient(c) for _ in indices)
     sups = tuple(abs(c) for _ in indices)
-    nonlin = PolynomialNonlinearity(m=0, indices=indices, coeffs=coeffs,
+    nonlin = PolynomialNonlinearity(indices=indices, coeffs=coeffs,
                                     coeff_sup=sups)
     terminal = TerminalCondition(phi=ConstantTerminal(phi_sup),
                                  sup_norm=phi_sup, lipschitz=lipschitz)
@@ -49,19 +49,12 @@ class TestGaussianMoment:
                 / math.sqrt(2.0 * math.pi), 0.0, 40.0)
             assert abs_gaussian_moment(p) == pytest.approx(val, rel=1e-9)
 
-    def test_paper_literal_variant(self):
-        assert abs_gaussian_moment(2.0, paper_literal=True) == pytest.approx(
-            3.0, rel=1e-12)
-        assert abs_gaussian_moment(1.0, paper_literal=True) == pytest.approx(
-            2.0 * math.gamma(1.5) / math.sqrt(math.pi), rel=1e-12)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             abs_gaussian_moment(0.0)
 
     def test_overflowing_power_reads_infinite(self):
         assert abs_gaussian_moment(1e6) == math.inf
-        assert abs_gaussian_moment(1100.0, paper_literal=True) == math.inf
 
     @pytest.mark.parametrize("p", [320.0, 343.0, 1000.0, 2047.0, 2048.0])
     def test_overflowing_gamma_reads_infinite(self, p):
@@ -197,13 +190,6 @@ class TestHorizonBoundA:
         # |phi|^p = 10^320 is beyond the float range: no certificate
         _, ratio, cert = horizon_bound_a(_toy_model(phi_sup=10.0), 320.0, 0.05)
         assert ratio == math.inf and not cert
-
-    def test_paper_literal_changes_lipschitz_term(self):
-        # with a dominant Lipschitz term the ratio scales by M_p'/M_p = 3
-        model = _toy_model(phi_sup=0.1, lipschitz=5.0)
-        _, r_std, _ = horizon_bound_a(model, 2.0, 0.1)
-        _, r_lit, _ = horizon_bound_a(model, 2.0, 0.1, paper_literal=True)
-        assert r_lit == pytest.approx(3.0 * r_std, rel=1e-12)
 
 
 def _sqrt_sum(c0, c2, a):

@@ -158,24 +158,25 @@ class TestComponents:
             LifetimeDensity(delta=0.0)
 
     def test_nonlinearity_validation(self):
-        m2 = PolynomialNonlinearity(m=2, indices=((0, 0, 0),),
-                                    coeffs=(ConstantCoefficient(1.0),),
+        one = ConstantCoefficient(1.0)
+        m2 = PolynomialNonlinearity(indices=((0, 0, 0),), coeffs=(one,),
                                     coeff_sup=(1.0,))
-        assert _model(2, m2).m == 2
+        assert _model(2, m2).m == 2     # read from the multi-index length
         with pytest.raises(DomainError):
             _model(1, m2)       # m > d
         with pytest.raises(DomainError):
-            _model(0, dataclasses.replace(m2, m=0, indices=((0,),)))
-        with pytest.raises(DomainError):
-            PolynomialNonlinearity(m=1, indices=((0,),),
-                                   coeffs=(ConstantCoefficient(1.0),),
+            _model(0, dataclasses.replace(m2, indices=((0,),)))
+        with pytest.raises(DomainError):     # lengths disagree
+            PolynomialNonlinearity(indices=((0,), (1, 0)), coeffs=(one, one),
+                                   coeff_sup=(1.0, 1.0))
+        with pytest.raises(DomainError):     # a negative entry
+            PolynomialNonlinearity(indices=((0, -1),), coeffs=(one,),
                                    coeff_sup=(1.0,))
         with pytest.raises(DomainError):
-            PolynomialNonlinearity(m=0, indices=((1,), (2,)),
-                                   coeffs=(ConstantCoefficient(1.0),),
+            PolynomialNonlinearity(indices=((1,), (2,)), coeffs=(one,),
                                    coeff_sup=(1.0,))
         with pytest.raises(DomainError):     # L_m is empty
-            PolynomialNonlinearity(m=0, indices=(), coeffs=(), coeff_sup=())
+            PolynomialNonlinearity(indices=(), coeffs=(), coeff_sup=())
         with pytest.raises(DomainError):
             dataclasses.replace(m2, coeff_sup=(-1.0,))
 
@@ -189,7 +190,7 @@ class TestComponents:
     def test_dimension_mismatch_is_refused(self, coeff, phi):
         # PdeModel.d is the model's one dimension: every part that carries
         # its own d must agree with it
-        nonlin = PolynomialNonlinearity(m=0, indices=((0,),), coeffs=(coeff,),
+        nonlin = PolynomialNonlinearity(indices=((0,),), coeffs=(coeff,),
                                         coeff_sup=(1.0,))
         with pytest.raises(DomainError):
             _model(2, nonlin, phi)
@@ -248,7 +249,7 @@ class TestCatalog:
 
     def test_audit_flags_violation(self):
         nonlin = PolynomialNonlinearity(
-            m=0, indices=((1,),), coeffs=(ConstantCoefficient(5.0),),
+            indices=((1,),), coeffs=(ConstantCoefficient(5.0),),
             coeff_sup=(1.0,))
         model = PdeModel(name="bad", d=1, alpha=1.5, kappa=1.0,
                          nonlinearity=nonlin,

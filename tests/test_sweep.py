@@ -26,7 +26,7 @@ SWEEPS = [pytest.param(path, {}, id=path.stem) for path in CONFIGS] + [
 
 # fig3b's burgers-cosine written as an inline model
 BURGERS_INLINE = {
-    "name": "burgers-cosine-inline", "d": 2, "m": 2, "alpha": 1.5,
+    "name": "burgers-cosine-inline", "d": 2, "alpha": 1.5,
     "kappa": 10.0, "delta": 0.5, "indices": [[1, 1, 0], [1, 0, 1]],
     "coeffs": [-1, -1], "coeff_sup": [1, 1],
     "terminal": {"expr": "cos(x1)*cos(x2)*indicator_box("
